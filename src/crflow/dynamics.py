@@ -146,6 +146,8 @@ def step_rk4(
 
 
 def _clamp_weights(w, counter):
+    if w.min() >= 0.0:
+        return w
     small = (w < 0.0) & (w > -WEIGHT_CLAMP_TOL)
     if np.any(small):
         w = np.where(small, 0.0, w)
@@ -183,6 +185,9 @@ def integrate(
     w = state0.mu.weights.copy()
 
     def check_finite(Sn, wn, t, dt):
+        # A finite sum means every term is finite; only then skip the scan.
+        if math.isfinite(Sn + wn.sum()):
+            return
         if not (math.isfinite(Sn) and np.all(np.isfinite(wn))):
             raise NumericalError(
                 f"non-finite state at t={t!r} (dt={dt!r}): "
@@ -196,6 +201,8 @@ def integrate(
         n_full = int(math.floor(t_end / dt + 1e-9))
         rem = t_end - n_full * dt
         steps = 0
+        # Each step leaves w a fresh array that nothing mutates later, so
+        # the history stores it without a copy.
         for i in range(n_full):
             S, w = _rk4(rhs, S, w, dt)
             t = (i + 1) * dt
@@ -205,14 +212,14 @@ def integrate(
             if steps % control.record_every == 0 or (i == n_full - 1 and rem <= 1e-12):
                 times.append(t)
                 S_hist.append(S)
-                w_hist.append(w.copy())
+                w_hist.append(w)
         if rem > 1e-12:
             S, w = _rk4(rhs, S, w, rem)
             check_finite(S, w, t_end, rem)
             w = _clamp_weights(w, clamped)
             times.append(t_end)
             S_hist.append(S)
-            w_hist.append(w.copy())
+            w_hist.append(w)
         meta_dt = dt
     else:
         dt = control.dt
@@ -242,7 +249,7 @@ def integrate(
                 if steps % control.record_every == 0 or t >= t_end - 1e-13:
                     times.append(t)
                     S_hist.append(S)
-                    w_hist.append(w.copy())
+                    w_hist.append(w)
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
             if steps > control.max_steps:

@@ -52,7 +52,8 @@ class UptakeSpec:
         return cls(family=family, b=bv, a=av)
 
     def values(self, S) -> np.ndarray:
-        S = np.asarray(S, dtype=float)[..., None]
+        if not isinstance(S, float):
+            S = np.asarray(S, dtype=float)[..., None]
         if self.family == "monod":
             return self.b * S / (self.a + S)
         return self.b * S
@@ -79,9 +80,13 @@ class MortalitySpec:
         return cls(family=family, d0=d0v, c=cv)
 
     def values(self, S) -> np.ndarray:
-        S = np.asarray(S, dtype=float)[..., None]
+        scalar = isinstance(S, float)
+        if not scalar:
+            S = np.asarray(S, dtype=float)[..., None]
         if self.family == "decreasing":
             return self.d0 + self.c / (1.0 + S)
+        if scalar:
+            return self.d0.copy()
         return np.broadcast_to(self.d0, S.shape[:-1] + self.d0.shape).copy()
 
 
@@ -111,6 +116,10 @@ class VitalRates:
     def _clamped(self, S):
         if self.clamp is None:
             return S
+        if isinstance(S, float):
+            # Same IEEE result as np.clip, -0.0 and NaN included, at a
+            # fraction of its cost on the scalar S of every RK4 stage.
+            return min(max(S, 0.0), self.clamp)
         return np.clip(S, 0.0, self.clamp)
 
     def uptake_values(self, S) -> np.ndarray:
@@ -120,14 +129,6 @@ class VitalRates:
     def mortality_values(self, S) -> np.ndarray:
         """D(S, .) over all atoms; S may be a scalar or an array."""
         return self.mortality.values(self._clamped(S))
-
-
-def eval_B(rates: VitalRates, S: float, i: int) -> float:
-    return float(rates.uptake_values(float(S))[i])
-
-
-def eval_D(rates: VitalRates, S: float, i: int) -> float:
-    return float(rates.mortality_values(float(S))[i])
 
 
 def truncate(rates: VitalRates, N: float) -> VitalRates:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,23 @@ def scenario_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
+@contextmanager
+def _reading(path: str):
+    """Report a missing or ill-typed entry under `path` as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}: required key is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _object(node, path: str) -> dict:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return node
+
+
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -50,20 +68,23 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_space(spec: dict) -> StrategySpace:
+def build_space(spec: dict, path: str = "space") -> StrategySpace:
+    spec = _object(spec, path)
     if "grid" in spec:
-        g = spec["grid"]
-        bounds = g["bounds"]
-        counts = g["counts"]
-        dim = g.get("dim", len(bounds))
-        return build_grid(dim, bounds, counts)
+        g = _object(spec["grid"], f"{path}.grid")
+        with _reading(f"{path}.grid"):
+            bounds = g["bounds"]
+            counts = g["counts"]
+            dim = g.get("dim", len(bounds))
+            return build_grid(dim, bounds, counts)
     if "points" in spec:
-        points = np.atleast_2d(np.asarray(spec["points"], dtype=float))
-        if "metric" in spec:
-            metric = np.asarray(spec["metric"], dtype=float)
-        else:
-            metric = euclidean_metric(points)
-        return StrategySpace(points=points, metric=metric)
+        with _reading(path):
+            points = np.atleast_2d(np.asarray(spec["points"], dtype=float))
+            if "metric" in spec:
+                metric = np.asarray(spec["metric"], dtype=float)
+            else:
+                metric = euclidean_metric(points)
+            return StrategySpace(points=points, metric=metric)
     raise ConfigError("space spec needs either 'grid' or 'points'")
 
 
@@ -72,13 +93,15 @@ def _resolve_coeff(value, space: StrategySpace, name: str):
     if isinstance(value, dict):
         if "affine" not in value:
             raise ConfigError(f"unknown coefficient form for {name}: {value}")
-        aff = value["affine"]
-        const = float(aff.get("const", 0.0))
-        slope = np.asarray(aff.get("slope", [0.0] * space.dim), dtype=float)
+        aff = _object(value["affine"], f"{name}.affine")
+        with _reading(f"{name}.affine"):
+            const = float(aff.get("const", 0.0))
+            slope = np.asarray(aff.get("slope", [0.0] * space.dim), dtype=float)
         if slope.shape != (space.dim,):
             raise ConfigError(f"{name}: slope must have one entry per axis")
         return const + space.points @ slope
-    arr = np.asarray(value, dtype=float)
+    with _reading(name):
+        arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return float(arr)
     if arr.shape != (space.size,):
@@ -89,7 +112,8 @@ def _resolve_coeff(value, space: StrategySpace, name: str):
 def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     renorm = bool(spec.get("renormalize", False))
     if "matrix" in spec:
-        rows = np.asarray(spec["matrix"], dtype=float)
+        with _reading("kernel"):
+            rows = np.asarray(spec["matrix"], dtype=float)
         report = validate_stochastic(rows, space)
         if not report.ok and not renorm:
             raise ValidationError(
@@ -101,28 +125,35 @@ def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     if family == "pure_selection":
         return pure_selection_kernel(space)
     if family == "gaussian":
-        return local_mutation_kernel(space, float(spec["width"]))
+        with _reading("kernel"):
+            width = float(spec["width"])
+        return local_mutation_kernel(space, width)
     raise ConfigError(f"unknown kernel family {family!r}")
 
 
 def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
-    up = spec["uptake"]
-    mo = spec["mortality"]
-    uptake = UptakeSpec.build(
-        up["family"],
-        space.size,
-        _resolve_coeff(up["b"], space, "uptake.b"),
-        a=_resolve_coeff(up["a"], space, "uptake.a") if "a" in up else None,
-    )
-    mortality = MortalitySpec.build(
-        mo["family"],
-        space.size,
-        _resolve_coeff(mo["d0"], space, "mortality.d0"),
-        c=_resolve_coeff(mo["c"], space, "mortality.c") if "c" in mo else None,
-    )
+    with _reading("rates"):
+        up = _object(spec["uptake"], "rates.uptake")
+        mo = _object(spec["mortality"], "rates.mortality")
+        inflow = float(spec["inflow"])
+        dilution = float(spec["dilution"])
+    with _reading("rates.uptake"):
+        uptake = UptakeSpec.build(
+            up["family"],
+            space.size,
+            _resolve_coeff(up["b"], space, "rates.uptake.b"),
+            a=_resolve_coeff(up["a"], space, "rates.uptake.a") if "a" in up else None,
+        )
+    with _reading("rates.mortality"):
+        mortality = MortalitySpec.build(
+            mo["family"],
+            space.size,
+            _resolve_coeff(mo["d0"], space, "rates.mortality.d0"),
+            c=_resolve_coeff(mo["c"], space, "rates.mortality.c") if "c" in mo else None,
+        )
     return VitalRates(
-        inflow=float(spec["inflow"]),
-        dilution=float(spec["dilution"]),
+        inflow=inflow,
+        dilution=dilution,
         uptake=uptake,
         mortality=mortality,
     )
@@ -132,13 +163,14 @@ def build_control(spec: dict) -> StepControl:
     method = spec.get("method", "rk4")
     if method not in ("rk4", "adaptive", "picard"):
         raise ConfigError(f"unknown integrator {method!r}")
-    return StepControl(
-        method=method if method != "picard" else "rk4",
-        dt=float(spec.get("dt", 1e-3)),
-        t_end=float(spec["t_end"]),
-        tolerance=float(spec.get("tolerance", 1e-8)),
-        record_every=int(spec.get("record_every", 1)),
-    )
+    with _reading("control"):
+        return StepControl(
+            method=method if method != "picard" else "rk4",
+            dt=float(spec.get("dt", 1e-3)),
+            t_end=float(spec["t_end"]),
+            tolerance=float(spec.get("tolerance", 1e-8)),
+            record_every=int(spec.get("record_every", 1)),
+        )
 
 
 @dataclass
@@ -171,13 +203,15 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
     for key in ("space", "kernel", "rates", "initial", "control"):
         if key not in cfg:
             raise ConfigError(f"scenario missing section {key!r}")
+        _object(cfg[key], key)
     space = build_space(cfg["space"])
     kernel = build_kernel(cfg["kernel"], space)
     rates = build_rates(cfg["rates"], space)
 
     init = cfg["initial"]
-    S0 = float(init["S"])
-    weights = np.asarray(init["weights"], dtype=float)
+    with _reading("initial"):
+        S0 = float(init["S"])
+        weights = np.asarray(init["weights"], dtype=float)
     if weights.shape != (space.size,):
         raise ConfigError(
             f"initial weights: expected {space.size} values, got {weights.shape}"
@@ -189,7 +223,8 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
     truncation = cfg.get("truncation")
     if truncation is None:
         truncation = default_truncation_level(rates, S0, float(weights.sum()))
-    truncation = float(truncation)
+    with _reading("truncation"):
+        truncation = float(truncation)
     rates = truncate(rates, truncation)
 
     report = validate_assumptions(rates, space, truncation)
@@ -201,12 +236,15 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
     control_spec = cfg["control"]
     control = build_control(control_spec)
     method = control_spec.get("method", "rk4")
-    picard_options = {
-        "lam": control_spec.get("lambda"),
-        "tol": float(control_spec.get("picard_tol", 1e-12)),
-        "nodes": int(control_spec.get("nodes", 512)),
-        "max_iter": int(control_spec.get("max_iter", 200)),
-    }
+    with _reading("control"):
+        picard_options = {
+            "lam": control_spec.get("lambda"),
+            "tol": float(control_spec.get("picard_tol", 1e-12)),
+            "nodes": int(control_spec.get("nodes", 512)),
+            "max_iter": int(control_spec.get("max_iter", 200)),
+        }
+    with _reading("seed"):
+        seed = int(cfg.get("seed", 0))
 
     return Scenario(
         cfg=cfg,
@@ -218,7 +256,7 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
         truncation=truncation,
         method=method,
         picard_options=picard_options,
-        seed=int(cfg.get("seed", 0)),
+        seed=seed,
         hash=scenario_hash(cfg),
     )
 
@@ -227,14 +265,14 @@ def load_measure_file(path):
     """Measure file: a space spec plus (atom index, weight) pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "space" not in doc or "weights" not in doc:
+    if not isinstance(doc, dict) or "space" not in doc or "weights" not in doc:
         raise ConfigError(f"{path}: measure file needs 'space' and 'weights'")
-    space = build_space(doc["space"])
+    space = build_space(doc["space"], f"{path}: space")
+    with _reading(f"{path}: weights"):
+        entries = [(int(idx), float(val)) for idx, val in doc["weights"]]
     w = np.zeros(space.size)
-    for entry in doc["weights"]:
-        idx, val = entry
-        idx = int(idx)
+    for idx, val in entries:
         if not 0 <= idx < space.size:
             raise ConfigError(f"{path}: atom index {idx} out of range")
-        w[idx] += float(val)
+        w[idx] += val
     return DiscreteMeasure(space, w)

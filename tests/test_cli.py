@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crflow.cli import main
+from crflow.dynamics import StepControl, integrate
 from crflow.errors import ConfigError, ValidationError
 from crflow.scenario import build_scenario, load_config, scenario_hash
 
@@ -253,3 +254,91 @@ class TestSweep:
         lines = (out / "summary.csv").read_text().splitlines()
         statuses = [row.split(",")[2] for row in lines[1:]]
         assert statuses == ["ok", "validation-error"]
+
+
+def off_grid_cfg():
+    """washout with a horizon that is not a multiple of dt."""
+    cfg = washout_cfg()
+    cfg["control"]["t_end"] = 1.0005
+    return cfg
+
+
+class TestCheckSplitState:
+    @pytest.mark.parametrize("cfg", [
+        load_config(SCENARIOS / "desk_chemostat.json"),
+        load_config(SCENARIOS / "sweep_inflow.json"),
+        washout_cfg(),
+        off_grid_cfg(),
+    ])
+    def test_stored_state_equals_separate_integration(self, cfg):
+        # run_checks takes the semiflow split state from the recorded
+        # trajectory instead of integrating to the split a second time.
+        sc = build_scenario(cfg)
+        control = StepControl(method="rk4", dt=sc.control.dt,
+                              t_end=sc.control.t_end, record_every=1)
+        traj = integrate(sc.state0, control.t_end, control, sc.rates, sc.kernel)
+        n_steps = len(traj) - 1
+        split = (n_steps // 2) * sc.control.dt
+        separate = integrate(sc.state0, split, control, sc.rates, sc.kernel)
+        stored = traj.state(n_steps // 2)
+        assert len(separate) == n_steps // 2 + 1
+        assert separate.times[-1] == traj.times[n_steps // 2]
+        assert np.float64(stored.S).view(np.uint64) == np.float64(
+            separate.endpoint().S).view(np.uint64)
+        assert np.array_equal(stored.mu.weights.view(np.uint64),
+                              separate.endpoint().mu.weights.view(np.uint64))
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("edit,where", [
+        (lambda cfg: cfg["control"].pop("t_end"), "control.t_end: "),
+        (lambda cfg: cfg["rates"]["uptake"].update(b="abc"), "rates.uptake.b: "),
+        (lambda cfg: cfg["rates"].pop("inflow"), "rates.inflow: "),
+        (lambda cfg: cfg["space"]["grid"].pop("counts"), "space.grid.counts: "),
+        (lambda cfg: cfg["initial"].update(S=None), "initial: "),
+        (lambda cfg: cfg["control"].update(record_every="x"), "control: "),
+        (lambda cfg: cfg.update(kernel=[]), "kernel: "),
+        (lambda cfg: cfg["rates"].update(mortality=0.3), "rates.mortality: "),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_exits_2_with_one_json_error(self, tmp_path, capsys, edit, where,
+                                         command):
+        cfg = washout_cfg()
+        edit(cfg)
+        path = write_cfg(tmp_path, cfg)
+        argv = [command, "--scenario", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["exit_code"] == 2
+        assert err["message"].startswith(where)
+
+    @pytest.mark.parametrize("weights", [[[0, "x"]], 3, [[0]]])
+    def test_bad_measure_file_exits_2(self, tmp_path, capsys, weights):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [2]}},
+            "weights": weights,
+        }), encoding="utf-8")
+        code = main(["flatnorm", str(path), str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["message"].startswith(
+            f"{path}: weights: ")
+
+    def test_ill_typed_sweep_value_fails_its_row_only(self, tmp_path):
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["control"]["t_end"] = 1.0
+        cfg["sweep"] = {"rates.uptake.b": [1.0, "abc"]}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["ok", "validation-error"]
+        assert "rates.uptake.b: " in rows[1]

@@ -6,14 +6,19 @@ import pytest
 from crflow.dynamics import (
     StepControl,
     SystemState,
+    _clamp_weights,
     integrate,
     picard_solve,
     semiflow,
     step_rk4,
     vector_field,
 )
-from crflow.errors import ConfigError, PositivityError
-from crflow.kernel import MutationKernel, pure_selection_kernel
+from crflow.errors import ConfigError, NumericalError, PositivityError
+from crflow.kernel import (
+    MutationKernel,
+    local_mutation_kernel,
+    pure_selection_kernel,
+)
 from crflow.measure import DiscreteMeasure, flat_distance
 from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
 from crflow.space import build_grid
@@ -272,3 +277,131 @@ def test_mass_bound_along_trajectory(rng):
     d = min(rates.dilution, 1.0, mortality_floor(rates, rates.clamp))
     bound = max(sc["state0"].total_mass(), rates.inflow / d)
     assert traj.mass().max() <= bound + 1e-6
+
+
+def reference_integrate(state0, t_end, control, rates, K):
+    """integrate() redone by hand, every rate evaluated through np.array([S]).
+
+    Records every accepted step. The array path of the rate methods is the
+    reference for their scalar-substrate path.
+    """
+    KT = np.ascontiguousarray(K.rows.T)
+
+    def rhs(S, w):
+        S_arr = np.array([S])
+        B = rates.uptake_values(S_arr)[0]
+        Dm = rates.mortality_values(S_arr)[0]
+        dS = rates.inflow - rates.dilution * S - float(np.dot(B, w))
+        return dS, KT @ (B * w) - Dm * w
+
+    def rk4(S, w, h):
+        k1S, k1w = rhs(S, w)
+        k2S, k2w = rhs(S + 0.5 * h * k1S, w + 0.5 * h * k1w)
+        k3S, k3w = rhs(S + 0.5 * h * k2S, w + 0.5 * h * k2w)
+        k4S, k4w = rhs(S + h * k3S, w + h * k3w)
+        return (S + (h / 6.0) * (k1S + 2.0 * k2S + 2.0 * k3S + k4S),
+                w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+
+    def accept(S, w, t, h):
+        assert math.isfinite(S) and np.all(np.isfinite(w)), (t, h)
+        assert w.min() > -1e-9
+        w = np.where((w < 0.0) & (w > -1e-9), 0.0, w)
+        times.append(t)
+        S_hist.append(S)
+        w_hist.append(w)
+        return w
+
+    S, w = float(state0.S), state0.mu.weights.copy()
+    times, S_hist, w_hist = [0.0], [S], [w]
+    dt = control.dt
+    if control.method == "rk4":
+        n_full = int(math.floor(t_end / dt + 1e-9))
+        for i in range(n_full):
+            S, w = rk4(S, w, dt)
+            w = accept(S, w, (i + 1) * dt, dt)
+        rem = t_end - n_full * dt
+        if rem > 1e-12:
+            S, w = rk4(S, w, rem)
+            accept(S, w, t_end, rem)
+    else:
+        t = 0.0
+        while t < t_end - 1e-13:
+            dt = min(dt, t_end - t)
+            S1, w1 = rk4(S, w, dt)
+            S2, w2 = rk4(*rk4(S, w, 0.5 * dt), 0.5 * dt)
+            err = (abs(S2 - S1) + float(np.abs(w2 - w1).max())) / 15.0
+            if err <= control.tolerance:
+                t += dt
+                S = S2
+                w = accept(S2, w2, t, dt)
+            dt *= min(5.0, max(0.2, 0.9 * (control.tolerance / max(err, 1e-300)) ** 0.2))
+    return np.array(times), np.array(S_hist), np.array(w_hist)
+
+
+def mutation_setup():
+    """Four atoms, gaussian kernel, decreasing mortality, truncated rates."""
+    sp = build_grid(1, [(0.0, 1.0)], [4])
+    rates = VitalRates(
+        inflow=1.3,
+        dilution=0.8,
+        uptake=UptakeSpec.build("monod", 4, [0.8, 1.0, 1.2, 1.4], a=[1.0, 0.9, 1.2, 1.5]),
+        mortality=MortalitySpec.build("decreasing", 4, [0.3, 0.35, 0.4, 0.45], c=0.2),
+    )
+    state0 = SystemState(0.7, DiscreteMeasure(sp, np.array([0.4, 0.1, 0.0, 0.3])))
+    return truncate(rates, 6.0), local_mutation_kernel(sp, 0.3), state0
+
+
+def selection_setup():
+    """Three atoms, pure selection, linear uptake, untruncated rates."""
+    sp = build_grid(1, [(0.0, 1.0)], [3])
+    rates = VitalRates(
+        inflow=0.9,
+        dilution=1.1,
+        uptake=UptakeSpec.build("linear", 3, [0.9, 1.1, 1.3]),
+        mortality=MortalitySpec.build("constant", 3, [0.25, 0.3, 0.5]),
+    )
+    state0 = SystemState(1.5, DiscreteMeasure(sp, np.array([0.2, 0.5, 0.3])))
+    return rates, pure_selection_kernel(sp), state0
+
+
+class TestBitIdentity:
+    """integrate() equals, bit for bit, a loop that evaluates rates on arrays."""
+
+    @pytest.mark.parametrize("setup", [mutation_setup, selection_setup])
+    @pytest.mark.parametrize("control", [
+        StepControl(method="rk4", dt=0.01, t_end=1.005),
+        StepControl(method="adaptive", dt=0.05, t_end=2.0, tolerance=1e-10),
+    ])
+    def test_matches_array_rate_reference(self, setup, control):
+        rates, K, state0 = setup()
+        traj = integrate(state0, control.t_end, control, rates, K)
+        times, S, W = reference_integrate(state0, control.t_end, control, rates, K)
+        assert len(traj) > 20
+        assert np.array_equal(traj.times.view(np.uint64), times.view(np.uint64))
+        assert np.array_equal(traj.S.view(np.uint64), S.view(np.uint64))
+        assert np.array_equal(traj.weights.view(np.uint64), W.view(np.uint64))
+
+
+class TestStepChecks:
+    def test_nonnegative_weights_pass_through(self):
+        w = np.array([0.5, 0.0, -0.0])
+        counter = [0]
+        assert _clamp_weights(w, counter) is w
+        assert counter == [0]
+
+    def test_tiny_negatives_are_zeroed_and_counted(self):
+        counter = [3]
+        out = _clamp_weights(np.array([0.5, -1e-12, -5e-10]), counter)
+        assert out.tolist() == [0.5, 0.0, 0.0]
+        assert counter == [5]
+
+    def test_large_negative_is_rejected(self):
+        with pytest.raises(PositivityError):
+            _clamp_weights(np.array([0.5, -1e-12, -1e-6]), [0])
+
+    def test_nonfinite_state_aborts(self):
+        rates, K, _ = selection_setup()
+        state0 = SystemState(1e300, DiscreteMeasure(K.space, np.array([0.2, 0.5, 0.3])))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+            integrate(state0, 1.0, StepControl(dt=0.1), rates, K)
+        assert "non-finite state at t=0.1" in str(info.value)

@@ -7,8 +7,6 @@ from crflow.rates import (
     UptakeSpec,
     VitalRates,
     default_truncation_level,
-    eval_B,
-    eval_D,
     mortality_floor,
     truncate,
     validate_assumptions,
@@ -28,24 +26,24 @@ def make_rates(n=1, family="monod", b=1.0, a=1.0, d_family="constant",
 
 class TestUptake:
     def test_monod_vanishes_at_zero(self):
-        assert eval_B(make_rates(), 0.0, 0) == 0.0
+        assert make_rates().uptake_values(0.0)[0] == 0.0
 
     def test_monod_half_saturation(self):
         # b = a = 1: B(1) = 1/(1+1) = 0.5
-        assert eval_B(make_rates(), 1.0, 0) == 0.5
+        assert make_rates().uptake_values(1.0)[0] == 0.5
 
     def test_monod_saturates_at_b(self):
         r = make_rates(b=2.0, a=0.5)
-        assert eval_B(r, 1e9, 0) == pytest.approx(2.0, rel=1e-8)
+        assert r.uptake_values(1e9)[0] == pytest.approx(2.0, rel=1e-8)
 
     def test_linear(self):
         r = make_rates(family="linear", b=0.7)
-        assert eval_B(r, 3.0, 0) == pytest.approx(2.1)
+        assert r.uptake_values(3.0)[0] == pytest.approx(2.1)
 
     def test_per_atom_coefficients(self):
         r = make_rates(n=2, b=[1.0, 2.0], a=[1.0, 1.0])
-        assert eval_B(r, 1.0, 0) == 0.5
-        assert eval_B(r, 1.0, 1) == 1.0
+        assert r.uptake_values(1.0)[0] == 0.5
+        assert r.uptake_values(1.0)[1] == 1.0
 
     def test_vectorized_grid_shape(self):
         r = make_rates(n=3, b=[1.0, 1.0, 1.0], a=[1.0, 2.0, 3.0])
@@ -66,17 +64,17 @@ class TestUptake:
 class TestMortality:
     def test_constant(self):
         r = make_rates(d0=0.3)
-        assert eval_D(r, 0.0, 0) == 0.3
-        assert eval_D(r, 10.0, 0) == 0.3
+        assert r.mortality_values(0.0)[0] == 0.3
+        assert r.mortality_values(10.0)[0] == 0.3
 
     def test_decreasing_values(self):
         r = make_rates(d_family="decreasing", d0=0.3, c=0.2)
-        assert eval_D(r, 0.0, 0) == 0.5
-        assert eval_D(r, 1.0, 0) == pytest.approx(0.4)
+        assert r.mortality_values(0.0)[0] == 0.5
+        assert r.mortality_values(1.0)[0] == pytest.approx(0.4)
 
     def test_decreasing_floor_is_d0(self):
         r = make_rates(d_family="decreasing", d0=0.3, c=0.2)
-        assert eval_D(r, 1e12, 0) == pytest.approx(0.3, abs=1e-10)
+        assert r.mortality_values(1e12)[0] == pytest.approx(0.3, abs=1e-10)
 
     def test_rejects_negative_c(self):
         with pytest.raises(ConfigError):
@@ -97,16 +95,16 @@ class TestTruncation:
     def test_identity_inside_band(self):
         r = truncate(make_rates(), 5.0)
         for S in (0.0, 0.5, 2.0, 5.0):
-            assert eval_B(r, S, 0) == eval_B(make_rates(), S, 0)
+            assert r.uptake_values(S)[0] == make_rates().uptake_values(S)[0]
 
     def test_negative_argument_clamps_to_zero(self):
         r = truncate(make_rates(), 5.0)
-        assert eval_B(r, -1.0, 0) == 0.0
-        assert eval_D(r, -1.0, 0) == eval_D(r, 0.0, 0)
+        assert r.uptake_values(-1.0)[0] == 0.0
+        assert r.mortality_values(-1.0)[0] == r.mortality_values(0.0)[0]
 
     def test_large_argument_clamps_to_level(self):
         r = truncate(make_rates(), 5.0)
-        assert eval_B(r, 10.0, 0) == eval_B(r, 5.0, 0)
+        assert r.uptake_values(10.0)[0] == r.uptake_values(5.0)[0]
 
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ConfigError):
@@ -162,3 +160,55 @@ class TestFloorAndValidation:
         grid = np.linspace(0.0, 6.0, 200)
         B = r.uptake_values(grid)
         assert np.all(np.diff(B, axis=0) >= 0)
+
+
+FAMILY_PAIRS = [
+    ("monod", "constant"),
+    ("monod", "decreasing"),
+    ("linear", "constant"),
+    ("linear", "decreasing"),
+]
+CLAMP_LEVEL = 2.5
+
+
+def three_atom_rates(family, d_family, clamp):
+    r = make_rates(
+        n=3, family=family, b=[0.7, 1.0, 1.3], a=[0.6, 1.0, 2.0],
+        d_family=d_family, d0=[0.2, 0.3, 0.4],
+        c=[0.1, 0.0, 0.3] if d_family == "decreasing" else None,
+    )
+    return r if clamp is None else truncate(r, clamp)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestScalarSubstrate:
+    """A Python-float S takes a scalar path that must match the array path."""
+
+    @pytest.mark.parametrize("family,d_family", FAMILY_PAIRS)
+    @pytest.mark.parametrize("clamp", [None, CLAMP_LEVEL])
+    def test_bitwise_equal_to_array_path(self, family, d_family, clamp):
+        r = three_atom_rates(family, d_family, clamp)
+        for S in (-0.5, -0.0, 0.0, 0.3, CLAMP_LEVEL, 10 * CLAMP_LEVEL):
+            assert type(S) is float
+            for method in (r.uptake_values, r.mortality_values):
+                scalar = method(S)
+                row = method(np.array([S]))[0]
+                assert scalar.shape == (3,)
+                assert np.array_equal(scalar, row)
+                assert np.array_equal(bits(scalar), bits(row)), (method, S)
+
+    @pytest.mark.parametrize("family,d_family", FAMILY_PAIRS)
+    def test_results_are_fresh_and_writable(self, family, d_family):
+        r = three_atom_rates(family, d_family, CLAMP_LEVEL)
+        d0 = r.mortality.d0.copy()
+        for method in (r.uptake_values, r.mortality_values):
+            first, second = method(0.3), method(0.3)
+            assert first.flags.writeable
+            assert not np.shares_memory(first, second)
+            first[:] = -1.0
+            assert np.array_equal(second, method(0.3))
+        assert np.array_equal(r.mortality.d0, d0)
+        assert not np.shares_memory(r.mortality_values(0.3), r.mortality.d0)
