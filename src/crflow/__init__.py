@@ -42,7 +42,6 @@ from crflow.dynamics import (
     integrate,
     picard_solve,
     semiflow,
-    step_rk4,
     vector_field,
 )
 from crflow.analysis import (

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from crflow.errors import ConfigError, ValidationError
-from crflow.dynamics import StepControl, SystemState, Trajectory, _rk4
+from crflow.dynamics import StepControl, SystemState, Trajectory, _march, integrate
 from crflow.kernel import MutationKernel
 from crflow.measure import DiscreteMeasure, dirac, flat_distance
 from crflow.rates import VitalRates, mortality_floor
@@ -81,7 +81,7 @@ def breakeven(
 def reduced_ode_trajectory(
     state0: SystemState, t_end: float, control: StepControl, rates: VitalRates
 ) -> Trajectory:
-    """Integrate the classical n-species system with the same RK4 stepper.
+    """Integrate the classical n-species system with integrate's stepper.
 
     S' = inflow - dilution*S - sum_j B_j(S) I_j,  I_j' = (B_j(S) - D_j(S)) I_j.
     This is the finite special case the measure-valued system must reproduce
@@ -97,26 +97,11 @@ def reduced_ode_trajectory(
         return dS, dI
 
     dt = control.dt
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9:
+    if dt > 0 and abs(round(t_end / dt) * dt - t_end) > 1e-9:
         raise ConfigError("reduced ODE comparison needs dt dividing t_end")
-    S = float(state0.S)
-    I = state0.mu.weights.copy()
-    times = [0.0]
-    S_hist = [S]
-    I_hist = [I.copy()]
-    for k in range(n_steps):
-        S, I = _rk4(rhs, S, I, dt)
-        times.append((k + 1) * dt)
-        S_hist.append(S)
-        I_hist.append(I.copy())
-    return Trajectory(
-        space=state0.space,
-        times=np.asarray(times),
-        S=np.asarray(S_hist),
-        weights=np.asarray(I_hist),
-        metadata={"integrator": "reduced-ode", "dt": dt},
-    )
+    traj = _march(rhs, state0, t_end, control)
+    traj.metadata["integrator"] = "reduced-ode"
+    return traj
 
 
 def compare_to_ode(
@@ -131,8 +116,6 @@ def compare_to_ode(
     Requires the pure-selection kernel; with it the two right-hand sides are
     the same finite system, so the deviation is at machine-precision level.
     """
-    from crflow.dynamics import integrate
-
     if not np.array_equal(K.rows, np.eye(K.space.size)):
         raise ConfigError("compare_to_ode requires the pure-selection kernel")
     if control.method != "rk4":

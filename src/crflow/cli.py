@@ -40,16 +40,9 @@ def _fmt17(x: float) -> str:
 
 
 def run_scenario(sc: Scenario) -> Trajectory:
-    if sc.method == "picard":
+    if sc.control.method == "picard":
         traj = picard_solve(
-            sc.state0,
-            sc.control.t_end,
-            sc.rates,
-            sc.kernel,
-            lam=sc.picard_options["lam"],
-            tol=sc.picard_options["tol"],
-            max_iter=sc.picard_options["max_iter"],
-            nodes=sc.picard_options["nodes"],
+            sc.state0, sc.control.t_end, sc.rates, sc.kernel, **sc.picard_options
         )
     else:
         traj = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates, sc.kernel)
@@ -148,7 +141,7 @@ def run_checks(sc: Scenario, tol: float = 1e-6):
     T = min(1.0, control.t_end)
     pic_control = StepControl(method="rk4", dt=1e-3, t_end=T)
     rk_end = integrate(sc.state0, T, pic_control, sc.rates, sc.kernel).endpoint()
-    pic = picard_solve(sc.state0, T, sc.rates, sc.kernel)
+    pic = picard_solve(sc.state0, T, sc.rates, sc.kernel, **sc.picard_options)
     pic_end = pic.endpoint()
     gap = abs(rk_end.S - pic_end.S) + flat_distance(rk_end.mu, pic_end.mu)
     ratio = pic.metadata["contraction_ratio"]

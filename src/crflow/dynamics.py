@@ -59,7 +59,7 @@ class SystemState:
 class StepControl:
     """Integrator selection and step control."""
 
-    method: str = "rk4"          # "rk4" or "adaptive"
+    method: str = "rk4"          # "rk4", "adaptive" or "picard" (picard_solve)
     dt: float = 1e-3
     t_end: float = 1.0
     tolerance: float = 1e-8      # adaptive local error target
@@ -130,21 +130,6 @@ def _rk4(rhs, S, w, dt):
     return Sn, wn
 
 
-def step_rk4(
-    state: SystemState, dt: float, rates: VitalRates, K: MutationKernel
-) -> SystemState:
-    """One classical 4th-order Runge-Kutta step of the full system."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    Sn, wn = _rk4(_make_rhs(rates, K), state.S, state.mu.weights, dt)
-    if not (math.isfinite(Sn) and np.all(np.isfinite(wn))):
-        raise NumericalError(
-            f"non-finite step result from S={state.S!r}, "
-            f"weights={state.mu.weights.tolist()!r}, dt={dt!r}"
-        )
-    return SystemState(Sn, DiscreteMeasure(state.space, wn))
-
-
 def _clamp_weights(w, counter):
     if w.min() >= 0.0:
         return w
@@ -160,72 +145,60 @@ def _clamp_weights(w, counter):
     return w
 
 
-def integrate(
-    state0: SystemState,
-    t_end: float,
-    control: StepControl,
-    rates: VitalRates,
-    K: MutationKernel,
-) -> Trajectory:
-    """Integrate on [0, t_end], recording every accepted step.
+def _march(rhs, state0: SystemState, t_end: float, control: StepControl) -> Trajectory:
+    """Step rhs(S, w) from state0 to t_end: fixed-step RK4 or step doubling.
 
-    Weights drifting into (-1e-9, 0) are clamped to zero and counted in the
-    metadata; larger violations abort with a positivity error.
+    Every accepted step takes the same path: a finiteness check, the weight
+    clamp, then recording when the step count is a multiple of record_every
+    or the step is the last. Weights drifting into (-1e-9, 0) are clamped to
+    zero and counted in the metadata; larger violations abort with a
+    positivity error.
     """
     if t_end < 0:
         raise ConfigError("t_end must be nonnegative")
     if control.method not in ("rk4", "adaptive"):
         raise ConfigError(f"unknown integrator {control.method!r}")
-    rhs = _make_rhs(rates, K)
+    dt = control.dt
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
     clamped = [0]
-    times = [0.0]
-    S_hist = [float(state0.S)]
-    w_hist = [state0.mu.weights.copy()]
+    steps = 0
     S = float(state0.S)
     w = state0.mu.weights.copy()
+    times, S_hist, w_hist = [0.0], [S], [w]
 
-    def check_finite(Sn, wn, t, dt):
+    def accept(S, w, t, h, last):
+        nonlocal steps
         # A finite sum means every term is finite; only then skip the scan.
-        if math.isfinite(Sn + wn.sum()):
-            return
-        if not (math.isfinite(Sn) and np.all(np.isfinite(wn))):
+        if not math.isfinite(S + w.sum()) and not (
+            math.isfinite(S) and np.all(np.isfinite(w))
+        ):
             raise NumericalError(
-                f"non-finite state at t={t!r} (dt={dt!r}): "
-                f"S={Sn!r}, weights={np.asarray(wn).tolist()!r}"
+                f"non-finite state at t={t!r} (dt={h!r}): "
+                f"S={S!r}, weights={np.asarray(w).tolist()!r}"
             )
-
-    if control.method == "rk4":
-        dt = control.dt
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        n_full = int(math.floor(t_end / dt + 1e-9))
-        rem = t_end - n_full * dt
-        steps = 0
+        w = _clamp_weights(w, clamped)
+        steps += 1
         # Each step leaves w a fresh array that nothing mutates later, so
         # the history stores it without a copy.
-        for i in range(n_full):
-            S, w = _rk4(rhs, S, w, dt)
-            t = (i + 1) * dt
-            check_finite(S, w, t, dt)
-            w = _clamp_weights(w, clamped)
-            steps += 1
-            if steps % control.record_every == 0 or (i == n_full - 1 and rem <= 1e-12):
-                times.append(t)
-                S_hist.append(S)
-                w_hist.append(w)
-        if rem > 1e-12:
-            S, w = _rk4(rhs, S, w, rem)
-            check_finite(S, w, t_end, rem)
-            w = _clamp_weights(w, clamped)
-            times.append(t_end)
+        if steps % control.record_every == 0 or last:
+            times.append(t)
             S_hist.append(S)
             w_hist.append(w)
-        meta_dt = dt
+        return w
+
+    if control.method == "rk4":
+        n_full = int(math.floor(t_end / dt + 1e-9))
+        rem = t_end - n_full * dt
+        for i in range(n_full):
+            S, w = _rk4(rhs, S, w, dt)
+            w = accept(S, w, (i + 1) * dt, dt, i == n_full - 1 and rem <= 1e-12)
+        if rem > 1e-12:
+            S, w = _rk4(rhs, S, w, rem)
+            accept(S, w, t_end, rem, True)
     else:
-        dt = control.dt
         tol = control.tolerance
         t = 0.0
-        steps = 0
         while t < t_end - 1e-13:
             dt = min(dt, t_end - t)
             if dt < MIN_ADAPTIVE_STEP:
@@ -242,19 +215,12 @@ def integrate(
                 )
             if err <= tol:
                 t += dt
-                S, w = S2, w2
-                check_finite(S, w, t, dt)
-                w = _clamp_weights(w, clamped)
-                steps += 1
-                if steps % control.record_every == 0 or t >= t_end - 1e-13:
-                    times.append(t)
-                    S_hist.append(S)
-                    w_hist.append(w)
+                S = S2
+                w = accept(S, w2, t, dt, t >= t_end - 1e-13)
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
             if steps > control.max_steps:
                 raise NumericalError("exceeded max_steps")
-        meta_dt = control.dt
 
     # Deduplicate if the final step was recorded twice
     if len(times) >= 2 and times[-1] == times[-2]:
@@ -267,13 +233,25 @@ def integrate(
         times=np.asarray(times),
         S=np.asarray(S_hist),
         weights=np.asarray(w_hist),
-        metadata={
-            "integrator": control.method,
-            "dt": meta_dt,
-            "t_end": t_end,
-            "clamped_weights": clamped[0],
-        },
+        metadata={"dt": control.dt, "t_end": t_end, "clamped_weights": clamped[0]},
     )
+
+
+def integrate(
+    state0: SystemState,
+    t_end: float,
+    control: StepControl,
+    rates: VitalRates,
+    K: MutationKernel,
+) -> Trajectory:
+    """Integrate on [0, t_end] with control.method "rk4" or "adaptive".
+
+    Picard runs go through picard_solve; see _march for recording and the
+    weight clamp.
+    """
+    traj = _march(_make_rhs(rates, K), state0, t_end, control)
+    traj.metadata["integrator"] = control.method
+    return traj
 
 
 def semiflow(

@@ -32,18 +32,14 @@ class MutationKernel:
             raise DimensionError(
                 f"kernel shape {rows.shape} does not match {n} atoms"
             )
-        if np.any(rows < 0):
-            raise ConfigError("kernel entries must be nonnegative")
-        sums = rows.sum(axis=1)
+        report = validate_stochastic(rows)
+        if report.negative_entries or (report.messages and not self.renormalize):
+            raise ConfigError(report.messages[0])
         if self.renormalize:
+            sums = rows.sum(axis=1)
             if np.any(sums <= 0):
                 raise ConfigError("cannot renormalize a zero row")
             rows = rows / sums[:, None]
-        elif np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise ConfigError(
-                f"row {worst} sums to {sums[worst]!r}, not 1"
-            )
         rows = np.ascontiguousarray(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)

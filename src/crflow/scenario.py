@@ -54,9 +54,30 @@ def _reading(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _object(node, path: str) -> dict:
+# The keys each kind of scenario object may hold; any other is a ConfigError.
+_KEYS = {
+    "scenario": {"space", "kernel", "rates", "initial", "control", "truncation",
+                 "seed", "sweep", "allow_invalid_rates"},
+    "space": {"grid", "points", "metric"},
+    "grid": {"dim", "bounds", "counts"},
+    "kernel": {"family", "width", "matrix", "renormalize"},
+    "rates": {"inflow", "dilution", "uptake", "mortality"},
+    "uptake": {"family", "b", "a"},
+    "mortality": {"family", "d0", "c"},
+    "coefficient": {"affine"},
+    "affine": {"const", "slope"},
+    "initial": {"S", "weights"},
+    "control": {"method", "dt", "t_end", "tolerance", "record_every",
+                "lambda", "picard_tol", "nodes", "max_iter"},
+}
+
+
+def _object(node, path: str, kind: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a JSON object")
+    for key in node:
+        if key not in _KEYS[kind]:
+            raise ConfigError(f"{path}.{key}: unknown key")
     return node
 
 
@@ -69,9 +90,9 @@ def load_config(path) -> dict:
 
 
 def build_space(spec: dict, path: str = "space") -> StrategySpace:
-    spec = _object(spec, path)
+    spec = _object(spec, path, "space")
     if "grid" in spec:
-        g = _object(spec["grid"], f"{path}.grid")
+        g = _object(spec["grid"], f"{path}.grid", "grid")
         with _reading(f"{path}.grid"):
             bounds = g["bounds"]
             counts = g["counts"]
@@ -91,9 +112,9 @@ def build_space(spec: dict, path: str = "space") -> StrategySpace:
 def _resolve_coeff(value, space: StrategySpace, name: str):
     """Scalar, per-atom list, or affine form of the atom coordinates."""
     if isinstance(value, dict):
-        if "affine" not in value:
+        if "affine" not in _object(value, name, "coefficient"):
             raise ConfigError(f"unknown coefficient form for {name}: {value}")
-        aff = _object(value["affine"], f"{name}.affine")
+        aff = _object(value["affine"], f"{name}.affine", "affine")
         with _reading(f"{name}.affine"):
             const = float(aff.get("const", 0.0))
             slope = np.asarray(aff.get("slope", [0.0] * space.dim), dtype=float)
@@ -133,8 +154,8 @@ def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
 
 def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
     with _reading("rates"):
-        up = _object(spec["uptake"], "rates.uptake")
-        mo = _object(spec["mortality"], "rates.mortality")
+        up = _object(spec["uptake"], "rates.uptake", "uptake")
+        mo = _object(spec["mortality"], "rates.mortality", "mortality")
         inflow = float(spec["inflow"])
         dilution = float(spec["dilution"])
     with _reading("rates.uptake"):
@@ -165,7 +186,7 @@ def build_control(spec: dict) -> StepControl:
         raise ConfigError(f"unknown integrator {method!r}")
     with _reading("control"):
         return StepControl(
-            method=method if method != "picard" else "rk4",
+            method=method,
             dt=float(spec.get("dt", 1e-3)),
             t_end=float(spec["t_end"]),
             tolerance=float(spec.get("tolerance", 1e-8)),
@@ -184,8 +205,7 @@ class Scenario:
     state0: SystemState
     control: StepControl
     truncation: float
-    method: str                  # rk4 | adaptive | picard
-    picard_options: dict
+    picard_options: dict         # picard_solve keywords, used when method is picard
     seed: int
     hash: str
 
@@ -197,13 +217,13 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
     kernel or the rate assumptions fail their checks (override the latter
     with "allow_invalid_rates": true).
     """
-    cfg = dict(cfg)
+    cfg = dict(_object(cfg, "scenario", "scenario"))
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     for key in ("space", "kernel", "rates", "initial", "control"):
         if key not in cfg:
             raise ConfigError(f"scenario missing section {key!r}")
-        _object(cfg[key], key)
+        _object(cfg[key], key, key)
     space = build_space(cfg["space"])
     kernel = build_kernel(cfg["kernel"], space)
     rates = build_rates(cfg["rates"], space)
@@ -235,7 +255,6 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
 
     control_spec = cfg["control"]
     control = build_control(control_spec)
-    method = control_spec.get("method", "rk4")
     with _reading("control"):
         picard_options = {
             "lam": control_spec.get("lambda"),
@@ -254,7 +273,6 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
         state0=state0,
         control=control,
         truncation=truncation,
-        method=method,
         picard_options=picard_options,
         seed=seed,
         hash=scenario_hash(cfg),

@@ -213,6 +213,12 @@ class TestDiagnostics:
             "breakevens",
         }
 
+    def test_reduced_ode_rejects_nonpositive_dt(self):
+        sp = build_grid(1, [(0.5, 0.5)], [1])
+        state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.5])))
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            reduced_ode_trajectory(state0, 1.0, StepControl(dt=0.0), make_rates())
+
     def test_reduced_ode_needs_matching_grid(self):
         sp = build_grid(1, [(0.5, 0.5)], [1])
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.5])))

@@ -65,6 +65,14 @@ class TestScenarioBuilding:
         sc = build_scenario(washout_cfg(), seed_override=7)
         assert sc.seed == 7
 
+    def test_picard_method_is_kept_in_control(self):
+        cfg = washout_cfg()
+        cfg["control"]["method"] = "picard"
+        sc = build_scenario(cfg)
+        assert sc.control.method == "picard"
+        with pytest.raises(ConfigError):
+            integrate(sc.state0, 1.0, sc.control, sc.rates, sc.kernel)
+
 
 class TestSimulate:
     def test_washout_matches_closed_form(self, tmp_path):
@@ -150,6 +158,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code != 0
         assert "FAIL" in out
+
+    def test_picard_options_reach_the_picard_check(self, tmp_path, capsys):
+        cfg = washout_cfg()
+        cfg["control"]["max_iter"] = 1
+        path = write_cfg(tmp_path, cfg)
+        code = main(["check", "--scenario", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConvergenceError"
+        assert "did not converge in 1 steps" in err["message"]
 
     def test_empty_directory(self, tmp_path, capsys):
         code = main(["check", "--scenario", str(tmp_path)])
@@ -299,6 +319,13 @@ class TestConfigErrors:
         (lambda cfg: cfg["control"].update(record_every="x"), "control: "),
         (lambda cfg: cfg.update(kernel=[]), "kernel: "),
         (lambda cfg: cfg["rates"].update(mortality=0.3), "rates.mortality: "),
+        (lambda cfg: cfg["control"].update(dtt=0.1), "control.dtt: unknown key"),
+        (lambda cfg: cfg["rates"]["uptake"].update(
+            b={"affine": {"const": 0.8, "slop": [0.4]}}),
+         "rates.uptake.b.affine.slop: unknown key"),
+        (lambda cfg: cfg.update(truncaton=5.0), "scenario.truncaton: unknown key"),
+        (lambda cfg: cfg["control"].update(method="adaptive", dt=0.0),
+         "dt must be positive"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_exits_2_with_one_json_error(self, tmp_path, capsys, edit, where,
@@ -342,3 +369,14 @@ class TestConfigErrors:
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["ok", "validation-error"]
         assert "rates.uptake.b: " in rows[1]
+
+    def test_misspelled_sweep_path_fails_every_row(self, tmp_path):
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["control"]["t_end"] = 1.0
+        cfg["sweep"] = {"rates.inflw": [0.5, 2.0]}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["validation-error"] * 2
+        assert all("rates.inflw: unknown key" in row for row in rows)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from crflow.dynamics import (
     integrate,
     picard_solve,
     semiflow,
-    step_rk4,
     vector_field,
 )
 from crflow.errors import ConfigError, NumericalError, PositivityError
@@ -89,6 +89,8 @@ class TestVectorField:
 
 
 class TestStepRK4:
+    """One fixed RK4 step: integrate over a single step of length dt."""
+
     def test_exponential_decay_frozen_value(self):
         # inflow 0, no population: dS = -S. One RK4 step of dt = 0.1 from
         # S = 1 gives 1 - (0.1/6)(1 + 1.9 + 1.905 + 0.90475) = 0.9048375
@@ -100,14 +102,17 @@ class TestStepRK4:
             mortality=MortalitySpec.build("constant", 1, 0.3),
         )
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
-        out = step_rk4(state, 0.1, rates, pure_selection_kernel(sp))
+        K = pure_selection_kernel(sp)
+        traj = integrate(state, 0.1, StepControl(dt=0.1), rates, K)
+        assert traj.times.tolist() == [0.0, 0.1]
+        out = traj.endpoint()
         assert out.S == pytest.approx(0.9048375, abs=1e-12)
         assert abs(out.S - math.exp(-0.1)) < 1e-7
 
     def test_rejects_nonpositive_dt(self):
         sp, rates, K, state0 = single_strain()
         with pytest.raises(ConfigError):
-            step_rk4(state0, 0.0, rates, K)
+            integrate(state0, 0.1, StepControl(dt=0.0), rates, K)
 
 
 class TestIntegrate:
@@ -171,6 +176,17 @@ class TestIntegrate:
         _, rates, K, state0 = washout_setup()
         with pytest.raises(ConfigError):
             integrate(state0, 1.0, StepControl(method="euler"), rates, K)
+
+    def test_picard_method_rejected(self):
+        _, rates, K, state0 = washout_setup()
+        with pytest.raises(ConfigError):
+            integrate(state0, 1.0, StepControl(method="picard"), rates, K)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_adaptive_rejects_nonpositive_dt(self, dt):
+        _, rates, K, state0 = washout_setup()
+        with pytest.raises(ConfigError):
+            integrate(state0, 1.0, StepControl(method="adaptive", dt=dt), rates, K)
 
     def test_large_negative_weight_aborts(self):
         sp, rates, K, _ = single_strain()
@@ -380,6 +396,27 @@ class TestBitIdentity:
         assert np.array_equal(traj.times.view(np.uint64), times.view(np.uint64))
         assert np.array_equal(traj.S.view(np.uint64), S.view(np.uint64))
         assert np.array_equal(traj.weights.view(np.uint64), W.view(np.uint64))
+
+
+class TestRecordEvery:
+    """record_every = k keeps rows k, 2k, ... and the last of the full record."""
+
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("control", [
+        StepControl(method="rk4", dt=0.01, t_end=1.005),
+        StepControl(method="adaptive", dt=0.05, t_end=2.0, tolerance=1e-10),
+    ])
+    def test_thinned_rows_equal_full_record_rows(self, control, k):
+        rates, K, state0 = mutation_setup()
+        full = integrate(state0, control.t_end, control, rates, K)
+        thin = integrate(state0, control.t_end, replace(control, record_every=k),
+                         rates, K)
+        last = len(full) - 1
+        keep = sorted(set(range(0, last + 1, k)) | {last})
+        assert last % k != 0         # the final row is kept off the k grid
+        for name in ("times", "S", "weights"):
+            assert np.array_equal(getattr(thin, name).view(np.uint64),
+                                  getattr(full, name)[keep].view(np.uint64))
 
 
 class TestStepChecks:
