@@ -11,22 +11,20 @@ from crflow.dynamics import StepControl, SystemState, Trajectory, _march, integr
 from crflow.kernel import MutationKernel
 from crflow.measure import DiscreteMeasure, dirac, flat_distance
 from crflow.rates import VitalRates, mortality_floor
-from crflow.space import StrategySpace
+
+# Bisection stops once the bracket is narrower than this.
+BREAKEVEN_TOL = 1e-10
 
 
-def dissipativity_bound(
-    rates: VitalRates, S_max: float | None = None, samples: int = 256
-) -> float:
+def dissipativity_bound(rates: VitalRates) -> float:
     """Eventual mass bound inflow / min{dilution, 1, mortality floor}.
 
-    The floor is sampled on [0, S_max]; S_max defaults to the truncation
-    level so the floor matches what the dynamics can actually see.
+    The floor is sampled on [0, N] for the truncation level N = rates.clamp,
+    so it matches what the dynamics can actually see.
     """
-    if S_max is None:
-        if rates.clamp is None:
-            raise ConfigError("S_max required for untruncated rates")
-        S_max = rates.clamp
-    floor = mortality_floor(rates, S_max, samples)
+    if rates.clamp is None:
+        raise ConfigError("dissipativity bound needs truncated rates")
+    floor = mortality_floor(rates, rates.clamp)
     if floor <= 0:
         raise ValidationError(f"mortality floor {floor!r} is not positive")
     return rates.inflow / min(rates.dilution, 1.0, floor)
@@ -49,9 +47,7 @@ def concentration(mu: DiscreteMeasure):
     return winner, flat_distance(normalized, dirac(mu.space, winner))
 
 
-def breakeven(
-    rates: VitalRates, i: int, S_max: float, tol: float = 1e-10
-) -> float | None:
+def breakeven(rates: VitalRates, i: int, S_max: float) -> float | None:
     """Substrate level where uptake meets mortality for one strategy.
 
     Bisection on [0, S_max]; None when there is no sign change (the
@@ -69,7 +65,7 @@ def breakeven(
         return lo
     if fhi < 0 or flo == fhi == 0:
         return None if fhi < 0 else lo
-    while hi - lo > tol:
+    while hi - lo > BREAKEVEN_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             lo = mid
@@ -174,14 +170,13 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def diagnostics(
-    traj: Trajectory,
-    rates: VitalRates,
-    space: StrategySpace,
-    S_max: float | None = None,
-) -> DiagnosticsReport:
-    """Build the standard report for one trajectory."""
-    bound = dissipativity_bound(rates, S_max)
+def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
+    """Build the standard report for one trajectory under truncated rates.
+
+    Break-evens are sought on [0, rates.clamp]. The mass-balance residual is
+    None when the trajectory has fewer than 3 points or a non-uniform grid.
+    """
+    bound = dissipativity_bound(rates)
     M = traj.mass()
     tail = max(1, int(0.1 * len(M)))
     uniform = (
@@ -192,9 +187,8 @@ def diagnostics(
     winner = dist = None
     if np.all(final.mu.weights >= 0) and final.mu.total_mass() > 0:
         winner, dist = concentration(final.mu)
-    horizon = S_max if S_max is not None else rates.clamp
     breakevens = [
-        breakeven(rates, i, horizon) for i in range(space.size)
+        breakeven(rates, i, rates.clamp) for i in range(traj.space.size)
     ]
     return DiagnosticsReport(
         dissipativity_bound=bound,

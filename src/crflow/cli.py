@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import crflow
-from crflow.analysis import diagnostics, mass_balance_residual
+from crflow.analysis import diagnostics
 from crflow.dynamics import StepControl, Trajectory, integrate, picard_solve
 from crflow.errors import ConfigError, CrflowError, NumericalError, ValidationError
 from crflow.measure import flat_distance
@@ -71,9 +71,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    sc = build_scenario(load_config(args.scenario), seed_override=args.seed)
+    sc = build_scenario(load_config(args.scenario))
     traj = run_scenario(sc)
-    report = diagnostics(traj, sc.rates, sc.space, S_max=sc.truncation)
+    report = diagnostics(traj, sc.rates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj)
@@ -104,18 +104,17 @@ def run_checks(sc: Scenario, tol: float = 1e-6):
         record_every=1,
     )
     traj = integrate(sc.state0, control.t_end, control, sc.rates, sc.kernel)
+    rep = diagnostics(traj, sc.rates)
     results = []
 
-    worst_neg = -min(float(traj.weights.min()), float(traj.S.min()), 0.0)
+    worst_neg = -min(rep.min_weight_observed, rep.min_substrate_observed, 0.0)
     results.append(("positivity", worst_neg <= 1e-9, worst_neg))
 
-    try:
-        mb = mass_balance_residual(traj, sc.rates)
+    # None when dt does not divide t_end or there are fewer than 3 points
+    mb = rep.mass_balance_max_residual
+    if mb is not None:
         results.append(("mass_balance", mb <= tol, mb))
-    except ConfigError:
-        pass  # non-uniform grid: dt does not divide t_end
 
-    rep = diagnostics(traj, sc.rates, sc.space, S_max=sc.truncation)
     over = rep.max_mass_observed - rep.mass_bound
     results.append(("dissipativity", over <= 1e-6, over))
 
@@ -162,7 +161,7 @@ def cmd_check(args) -> int:
     failures = 0
     report = {}
     for path in paths:
-        sc = build_scenario(load_config(path), seed_override=args.seed)
+        sc = build_scenario(load_config(path))
         rows = run_checks(sc, tol=args.tolerance)
         report[str(path)] = [
             {"check": name, "ok": ok, "residual": res} for name, ok, res in rows
@@ -205,7 +204,7 @@ def _sweep_child(task):
     try:
         sc = build_scenario(cfg)
         traj = run_scenario(sc)
-        rep = diagnostics(traj, sc.rates, sc.space, S_max=sc.truncation)
+        rep = diagnostics(traj, sc.rates)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out / "trajectory.csv", traj)
@@ -224,12 +223,12 @@ def _sweep_child(task):
             ),
             "bound_margin": rep.mass_bound - rep.max_mass_observed,
         })
-    except (ConfigError, ValidationError) as exc:
-        row.update({"status": "validation-error", "error": str(exc),
-                    "exit_code": EXIT_VALIDATION})
     except NumericalError as exc:
         row.update({"status": "numerical-error", "error": str(exc),
                     "exit_code": EXIT_NUMERICAL})
+    except CrflowError as exc:
+        row.update({"status": "validation-error", "error": str(exc),
+                    "exit_code": EXIT_VALIDATION})
     return row
 
 
@@ -288,13 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scenario and write outputs")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="run the invariant suite on scenarios")
     p.add_argument("--scenario", required=True, help="scenario file or directory")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(func=cmd_check)
 
@@ -322,16 +319,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
-        _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        _emit_error("JSONDecodeError", str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
     except NumericalError as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_NUMERICAL)
         return EXIT_NUMERICAL
-    except CrflowError as exc:
+    except (CrflowError, json.JSONDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -25,9 +25,9 @@ from crflow.errors import (
 from crflow.kernel import MutationKernel
 from crflow.measure import DiscreteMeasure
 from crflow.rates import (
+    RateValidationReport,
     VitalRates,
     default_truncation_level,
-    mortality_floor,
     truncate,
     validate_assumptions,
 )
@@ -35,6 +35,7 @@ from crflow.space import StrategySpace
 
 WEIGHT_CLAMP_TOL = 1e-9
 MIN_ADAPTIVE_STEP = 1e-12
+MAX_ADAPTIVE_STEPS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class SystemState:
     def total_mass(self) -> float:
         return self.S + self.mu.total_mass()
 
-    def in_cone(self, tol: float = 0.0) -> bool:
-        return self.S >= -tol and bool(np.all(self.mu.weights >= -tol))
+    def in_cone(self) -> bool:
+        return self.S >= 0.0 and bool(np.all(self.mu.weights >= 0.0))
 
 
 @dataclass
@@ -64,7 +65,6 @@ class StepControl:
     t_end: float = 1.0
     tolerance: float = 1e-8      # adaptive local error target
     record_every: int = 1
-    max_steps: int = 50_000_000
 
 
 @dataclass
@@ -139,7 +139,7 @@ def _clamp_weights(w, counter):
         counter[0] += int(small.sum())
     if np.any(w <= -WEIGHT_CLAMP_TOL):
         raise PositivityError(
-            f"weight {w.min()!r} below -{WEIGHT_CLAMP_TOL}; "
+            f"weight {float(w.min())!r} below -{WEIGHT_CLAMP_TOL}; "
             "positivity should hold for cone initial data"
         )
     return w
@@ -219,7 +219,7 @@ def _march(rhs, state0: SystemState, t_end: float, control: StepControl) -> Traj
                 w = accept(S, w2, t, dt, t >= t_end - 1e-13)
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
-            if steps > control.max_steps:
+            if steps > MAX_ADAPTIVE_STEPS:
                 raise NumericalError("exceeded max_steps")
 
     # Deduplicate if the final step was recorded twice
@@ -278,19 +278,15 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def contraction_weight_default(
-    rates: VitalRates, space: StrategySpace, mass_bound: float, T: float
+    rep: RateValidationReport, dilution: float, mass_bound: float, T: float
 ) -> float:
     """Heuristic weight for the exponentially weighted sup norm.
 
     Twice a crude bound on the integral operator's Lipschitz constant,
-    assembled from sampled sup/Lipschitz norms of the truncated rates and
-    the mass bound. Exposed in configuration; any value above the true
-    constant yields a contraction.
+    assembled from the sampled sup/Lipschitz norms of the truncated rates
+    in rep, the dilution and the mass bound. Exposed in configuration; any
+    value above the true constant yields a contraction.
     """
-    S_max = rates.clamp if rates.clamp is not None else max(
-        1.0, 2.0 * rates.inflow / rates.dilution
-    )
-    rep = validate_assumptions(rates, space, S_max)
     b_bl = rep.uptake_sup + rep.uptake_lip
     d_bl = rep.mortality_sup + rep.mortality_lip
     f21_sup = rep.uptake_sup * mass_bound
@@ -301,7 +297,7 @@ def contraction_weight_default(
         + T * f21_sup * d_bl
         + rep.uptake_sup
         + mass_bound * rep.uptake_lip
-        + rates.dilution
+        + dilution
     )
     return 2.0 * max(n_t, 1.0)
 
@@ -338,13 +334,13 @@ def picard_solve(
             default_truncation_level(rates, state0.S, state0.mu.total_mass()),
         )
     space = state0.space
-    floor = mortality_floor(rates, rates.clamp)
-    d_eff = min(rates.dilution, 1.0, max(floor, 1e-12))
+    rep = validate_assumptions(rates, space, rates.clamp)
+    d_eff = min(rates.dilution, 1.0, max(rep.floor, 1e-12))
     mass_bound = max(state0.total_mass(), rates.inflow / d_eff)
     n_windows = max(1, int(math.ceil(T / 1.0 - 1e-12)))
     Tw = T / n_windows
     if lam is None:
-        lam = contraction_weight_default(rates, space, mass_bound, Tw)
+        lam = contraction_weight_default(rep, rates.dilution, mass_bound, Tw)
 
     KT_rows = K.rows  # nu = x @ rows gives nu_j = sum_i x_i rows[i, j]
     inflow, dilution = rates.inflow, rates.dilution

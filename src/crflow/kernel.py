@@ -88,24 +88,18 @@ class StochasticityReport:
 
 
 def validate_stochastic(rows, space: StrategySpace | None = None) -> StochasticityReport:
-    """Report negative entries and row-sum deviations beyond tolerance.
-
-    Accepts a raw matrix (or a MutationKernel, which always passes since
-    its constructor enforces the same conditions).
-    """
-    if isinstance(rows, MutationKernel):
-        rows = rows.rows
+    """Report negative entries and row-sum deviations beyond tolerance."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     messages = []
     negs = [
         (int(i), int(j)) for i, j in zip(*np.nonzero(rows < 0))
     ]
     for i, j in negs:
-        messages.append(f"negative entry {rows[i, j]!r} at ({i}, {j})")
+        messages.append(f"negative entry {float(rows[i, j])!r} at ({i}, {j})")
     sums = rows.sum(axis=1)
     err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
     for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        messages.append(f"row {int(i)} sums to {sums[i]!r}")
+        messages.append(f"row {int(i)} sums to {float(sums[i])!r}")
     if space is not None and rows.shape != (space.size, space.size):
         messages.append(
             f"kernel shape {rows.shape} does not match {space.size} atoms"

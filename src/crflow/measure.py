@@ -71,9 +71,9 @@ class AtomFunction:
         object.__setattr__(self, "values", v)
 
 
-def dirac(space: StrategySpace, atom: int, mass: float = 1.0) -> DiscreteMeasure:
+def dirac(space: StrategySpace, atom: int) -> DiscreteMeasure:
     w = np.zeros(space.size)
-    w[atom] = mass
+    w[atom] = 1.0
     return DiscreteMeasure(space, w)
 
 
@@ -88,11 +88,9 @@ def pair(mu: DiscreteMeasure, g: AtomFunction) -> float:
     return float(np.dot(g.values, mu.weights))
 
 
-def bl_norm_fn(g: AtomFunction, space: StrategySpace | None = None) -> float:
+def bl_norm_fn(g: AtomFunction) -> float:
     """Bounded-Lipschitz norm: sup norm plus the largest difference quotient."""
-    space = space if space is not None else g.space
-    if not g.space.same_as(space):
-        raise DimensionError("function defined on a different space")
+    space = g.space
     sup = float(np.abs(g.values).max())
     n = space.size
     if n == 1:

@@ -17,6 +17,9 @@ from crflow.space import StrategySpace
 
 UPTAKE_FAMILIES = ("monod", "linear")
 MORTALITY_FAMILIES = ("constant", "decreasing")
+# Substrate levels, evenly spaced on [0, S_max], at which the closed forms
+# are sampled for validation and the mortality floor.
+RATE_SAMPLES = 256
 
 
 def _coeff(value, n: int, name: str) -> np.ndarray:
@@ -133,8 +136,6 @@ class VitalRates:
 
 def truncate(rates: VitalRates, N: float) -> VitalRates:
     """Clamp the substrate argument of both rate families to [0, N]."""
-    if N <= 0:
-        raise ConfigError("truncation level must be positive")
     return replace(rates, clamp=float(N))
 
 
@@ -147,9 +148,9 @@ def default_truncation_level(rates: VitalRates, S0: float, mass0: float) -> floa
     return 2.0 * max(S0, rates.inflow / rates.dilution, mass0, 0.5)
 
 
-def mortality_floor(rates: VitalRates, S_max: float, samples: int = 256) -> float:
+def mortality_floor(rates: VitalRates, S_max: float) -> float:
     """Minimum mortality over a substrate sample grid and all atoms."""
-    grid = np.linspace(0.0, S_max, samples)
+    grid = np.linspace(0.0, S_max, RATE_SAMPLES)
     return float(rates.mortality_values(grid).min())
 
 
@@ -165,7 +166,7 @@ class RateValidationReport:
 
 
 def validate_assumptions(
-    rates: VitalRates, space: StrategySpace, S_max: float, samples: int = 256
+    rates: VitalRates, space: StrategySpace, S_max: float
 ) -> RateValidationReport:
     """Sampled admissibility checks on [0, S_max].
 
@@ -178,7 +179,7 @@ def validate_assumptions(
     n = space.size
     if rates.uptake.b.shape[0] != n:
         raise ConfigError("rate coefficients do not match the atom count")
-    grid = np.linspace(0.0, S_max, samples)
+    grid = np.linspace(0.0, S_max, RATE_SAMPLES)
     B = rates.uptake_values(grid)     # (samples, n)
     D = rates.mortality_values(grid)
     messages = []

@@ -113,7 +113,7 @@ def _resolve_coeff(value, space: StrategySpace, name: str):
     """Scalar, per-atom list, or affine form of the atom coordinates."""
     if isinstance(value, dict):
         if "affine" not in _object(value, name, "coefficient"):
-            raise ConfigError(f"unknown coefficient form for {name}: {value}")
+            raise ConfigError(f"{name}: unknown coefficient form {value}")
         aff = _object(value["affine"], f"{name}.affine", "affine")
         with _reading(f"{name}.affine"):
             const = float(aff.get("const", 0.0))
@@ -196,30 +196,29 @@ def build_control(spec: dict) -> StepControl:
 
 @dataclass
 class Scenario:
-    """A fully validated scenario ready to run."""
+    """A fully validated scenario ready to run.
 
-    cfg: dict
-    space: StrategySpace
+    The strategy space is state0.space and the truncation level N is
+    rates.clamp.
+    """
+
     kernel: MutationKernel
-    rates: VitalRates            # truncated at `truncation`
+    rates: VitalRates            # truncated
     state0: SystemState
     control: StepControl
-    truncation: float
     picard_options: dict         # picard_solve keywords, used when method is picard
-    seed: int
     hash: str
 
 
-def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
+def build_scenario(cfg: dict) -> Scenario:
     """Validate a configuration dict and assemble the run inputs.
 
     Raises ConfigError for structural problems and ValidationError when the
     kernel or the rate assumptions fail their checks (override the latter
-    with "allow_invalid_rates": true).
+    with "allow_invalid_rates": true). The integer "seed" is a label: it
+    enters the hash and changes no computed value.
     """
-    cfg = dict(_object(cfg, "scenario", "scenario"))
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
+    _object(cfg, "scenario", "scenario")
     for key in ("space", "kernel", "rates", "initial", "control"):
         if key not in cfg:
             raise ConfigError(f"scenario missing section {key!r}")
@@ -263,18 +262,14 @@ def build_scenario(cfg: dict, seed_override: int | None = None) -> Scenario:
             "max_iter": int(control_spec.get("max_iter", 200)),
         }
     with _reading("seed"):
-        seed = int(cfg.get("seed", 0))
+        int(cfg.get("seed", 0))      # type check only
 
     return Scenario(
-        cfg=cfg,
-        space=space,
         kernel=kernel,
         rates=rates,
         state0=state0,
         control=control,
-        truncation=truncation,
         picard_options=picard_options,
-        seed=seed,
         hash=scenario_hash(cfg),
     )
 

@@ -15,15 +15,19 @@ import numpy as np
 from crflow.errors import NumericalError
 
 
+# Absolute optimality tolerance on reduced costs and pivot entries.
+PIVOT_TOL = 1e-9
+
+
 class SimplexError(NumericalError):
     """The solver exceeded its pivot budget or hit an unbounded ray."""
 
 
-def solve_lp(c, A, b, tol: float = 1e-9, max_pivots: int | None = None):
+def solve_lp(c, A, b):
     """Return (optimal value, optimal x) of max c.x s.t. Ax <= b, x >= 0.
 
-    Requires b >= 0 elementwise. tol is the absolute optimality tolerance
-    on reduced costs and pivot entries.
+    Requires b >= 0 elementwise. The pivot budget is 200 (m + n) + 1000
+    for m constraints and n variables.
     """
     c = np.asarray(c, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -33,8 +37,7 @@ def solve_lp(c, A, b, tol: float = 1e-9, max_pivots: int | None = None):
         raise ValueError("inconsistent LP dimensions")
     if np.any(b < 0):
         raise ValueError("solve_lp requires b >= 0")
-    if max_pivots is None:
-        max_pivots = 200 * (m + n) + 1000
+    max_pivots = 200 * (m + n) + 1000
 
     # Tableau: columns = structural vars, slacks, rhs. Last row = -c (so a
     # negative entry marks an improving column), objective value in corner.
@@ -51,23 +54,23 @@ def solve_lp(c, A, b, tol: float = 1e-9, max_pivots: int | None = None):
     for _ in range(max_pivots):
         red = T[-1, :-1]
         if use_bland:
-            improving = np.flatnonzero(red < -tol)
+            improving = np.flatnonzero(red < -PIVOT_TOL)
             if improving.size == 0:
                 break
             col = int(improving[0])
         else:
             col = int(np.argmin(red))
-            if red[col] >= -tol:
+            if red[col] >= -PIVOT_TOL:
                 break
         piv = T[:m, col]
-        ok = piv > tol
+        ok = piv > PIVOT_TOL
         if not np.any(ok):
             raise SimplexError("LP is unbounded along column %d" % col)
         ratios = np.full(m, np.inf)
         ratios[ok] = T[:m, -1][ok] / piv[ok]
         best = ratios.min()
         # Bland tie-break: smallest basis variable index among min ratios.
-        cand = np.flatnonzero(ratios <= best + tol * max(1.0, abs(best)))
+        cand = np.flatnonzero(ratios <= best + PIVOT_TOL * max(1.0, abs(best)))
         row = int(cand[np.argmin(basis[cand])])
 
         T[row] /= T[row, col]
@@ -78,7 +81,7 @@ def solve_lp(c, A, b, tol: float = 1e-9, max_pivots: int | None = None):
 
         obj = T[-1, -1]
         if not use_bland:
-            if obj <= last_obj + tol:
+            if obj <= last_obj + PIVOT_TOL:
                 stalled += 1
                 if stalled > m + 10:
                     use_bland = True

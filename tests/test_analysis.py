@@ -32,16 +32,16 @@ def make_rates(n=1, b=1.0, a=1.0, d_family="constant", d0=0.3, c=None,
 
 class TestDissipativityBound:
     def test_all_rates_one(self):
-        r = make_rates(d0=1.0)
-        assert dissipativity_bound(r, S_max=4.0) == 1.0
+        r = truncate(make_rates(d0=1.0), 4.0)
+        assert dissipativity_bound(r) == 1.0
 
     def test_dilution_limited(self):
-        r = make_rates(inflow=2.0, dilution=0.5, d0=3.0)
-        assert dissipativity_bound(r, S_max=4.0) == 4.0
+        r = truncate(make_rates(inflow=2.0, dilution=0.5, d0=3.0), 4.0)
+        assert dissipativity_bound(r) == 4.0
 
     def test_zero_inflow(self):
-        r = make_rates(inflow=0.0)
-        assert dissipativity_bound(r, S_max=4.0) == 0.0
+        r = truncate(make_rates(inflow=0.0), 4.0)
+        assert dissipativity_bound(r) == 0.0
 
     def test_uses_truncation_level_by_default(self):
         r = truncate(make_rates(d_family="decreasing", d0=0.5, c=0.5), 4.0)
@@ -54,7 +54,7 @@ class TestDissipativityBound:
 
     def test_zero_floor_rejected(self):
         with pytest.raises(ValidationError):
-            dissipativity_bound(make_rates(d0=0.0), S_max=4.0)
+            dissipativity_bound(truncate(make_rates(d0=0.0), 4.0))
 
 
 class TestConcentration:
@@ -197,7 +197,7 @@ class TestDiagnostics:
         traj = integrate(
             sc["state0"], 2.0, StepControl(dt=1e-3), sc["rates"], sc["kernel"]
         )
-        report = diagnostics(traj, sc["rates"], sc["space"])
+        report = diagnostics(traj, sc["rates"])
         assert report.max_mass_observed <= report.mass_bound + 1e-6
         assert report.limsup_proxy <= report.max_mass_observed + 1e-15
         assert report.min_weight_observed >= -1e-9

@@ -26,7 +26,7 @@ def write_cfg(tmp_path, cfg, name="scenario.json"):
 class TestScenarioBuilding:
     def test_washout_scenario_builds(self):
         sc = build_scenario(washout_cfg())
-        assert sc.space.size == 2
+        assert sc.state0.space.size == 2
         assert sc.state0.S == 0.0
         assert sc.rates.clamp is not None
 
@@ -60,10 +60,6 @@ class TestScenarioBuilding:
         sc = build_scenario(load_config(SCENARIOS / "desk_chemostat.json"))
         # b = 0.8 + 0.4 * q over the grid q in {0, 0.5, 1}
         assert np.allclose(sc.rates.uptake.b, [0.8, 1.0, 1.2])
-
-    def test_seed_override(self):
-        sc = build_scenario(washout_cfg(), seed_override=7)
-        assert sc.seed == 7
 
     def test_picard_method_is_kept_in_control(self):
         cfg = washout_cfg()
@@ -275,6 +271,20 @@ class TestSweep:
         statuses = [row.split(",")[2] for row in lines[1:]]
         assert statuses == ["ok", "validation-error"]
 
+        # A renormalized 2x3 matrix passes build_kernel and fails inside
+        # MutationKernel with a DimensionError; the good row is still kept.
+        cfg["control"]["t_end"] = 1.0
+        cfg["kernel"] = {"renormalize": True}
+        cfg["sweep"] = {"kernel.matrix": [[[1.0, 0.0], [0.0, 1.0]],
+                                          [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
+        path = write_cfg(tmp_path, cfg, "matrix.json")
+        out = tmp_path / "matrix"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert "ok" in rows[0].split(",")
+        assert "validation-error" in rows[1].split(",")
+        assert "kernel shape (2, 3) does not match 2 atoms" in rows[1]
+
 
 def off_grid_cfg():
     """washout with a horizon that is not a multiple of dt."""
@@ -326,6 +336,9 @@ class TestConfigErrors:
         (lambda cfg: cfg.update(truncaton=5.0), "scenario.truncaton: unknown key"),
         (lambda cfg: cfg["control"].update(method="adaptive", dt=0.0),
          "dt must be positive"),
+        (lambda cfg: cfg["rates"]["uptake"].update(b={}),
+         "rates.uptake.b: unknown coefficient form"),
+        (lambda cfg: cfg.update(seed="x"), "seed: "),
     ])
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_exits_2_with_one_json_error(self, tmp_path, capsys, edit, where,

@@ -433,7 +433,7 @@ class TestStepChecks:
         assert counter == [5]
 
     def test_large_negative_is_rejected(self):
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError, match=r"^weight -1e-06 below"):
             _clamp_weights(np.array([0.5, -1e-12, -1e-6]), [0])
 
     def test_nonfinite_state_aborts(self):

@@ -108,18 +108,21 @@ class TestLipschitzBound:
 class TestValidation:
     def test_identity_passes(self):
         sp = build_grid(1, [(0.0, 1.0)], [2])
-        report = validate_stochastic(pure_selection_kernel(sp))
+        report = validate_stochastic(pure_selection_kernel(sp).rows)
         assert report.ok
 
     def test_bad_row_sum(self):
         report = validate_stochastic(np.array([[0.6, 0.5], [0.5, 0.5]]))
         assert not report.ok
         assert report.max_row_sum_error == pytest.approx(0.1)
+        # plain floats, so the text does not depend on the numpy version
+        assert report.messages == ("row 0 sums to 1.1",)
 
     def test_negative_entry(self):
         report = validate_stochastic(np.array([[-0.1, 1.1], [0.5, 0.5]]))
         assert not report.ok
         assert (0, 0) in report.negative_entries
+        assert "negative entry -0.1 at (0, 0)" in report.messages
 
     def test_constructor_rejects_bad_rows(self):
         sp = build_grid(1, [(0.0, 1.0)], [2])

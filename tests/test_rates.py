@@ -152,7 +152,7 @@ class TestFloorAndValidation:
         # slope of b*S/(a+S) at 0 is b/a; the sampled estimate is close
         sp = build_grid(1, [(0.0, 0.0)], [1])
         r = make_rates(b=2.0, a=0.5)
-        report = validate_assumptions(r, sp, 4.0, samples=2048)
+        report = validate_assumptions(r, sp, 4.0)
         assert report.uptake_lip == pytest.approx(4.0, rel=0.05)
 
     def test_monotone_uptake_on_grid(self):
