@@ -198,6 +198,13 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
+def _csv_field(text: str) -> str:
+    """Quote a summary cell per RFC 4180 if it holds a comma, quote or line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def _sweep_child(task):
     index, cfg, out_dir = task
     row = {"run": index, "status": "ok", "error": "", "exit_code": EXIT_OK}
@@ -229,6 +236,8 @@ def _sweep_child(task):
     except CrflowError as exc:
         row.update({"status": "validation-error", "error": str(exc),
                     "exit_code": EXIT_VALIDATION})
+    except OSError as exc:
+        row.update({"status": "io-error", "error": str(exc), "exit_code": EXIT_IO})
     return row
 
 
@@ -263,7 +272,8 @@ def cmd_sweep(args) -> int:
     lines = [",".join(columns)]
     for row, values in zip(rows, combos):
         cells = [str(row["run"])]
-        cells += [_fmt17(v) if isinstance(v, float) else str(v) for v in values]
+        cells += [_fmt17(v) if isinstance(v, float) else _csv_field(str(v))
+                  for v in values]
         cells.append(row["status"])
         for key in ("endpoint_mass", "winner_atom", "concentration_distance",
                     "bound_margin"):

@@ -101,42 +101,30 @@ def bl_norm_fn(g: AtomFunction) -> float:
     return sup + lip
 
 
-def _dual_norm_lp(weights: np.ndarray, metric: np.ndarray):
+def _dual_norm_lp(weights: np.ndarray, metric: np.ndarray) -> float:
     """Build and solve the flat-norm LP for a weight vector.
 
     Maximize sum_i f_i w_i over test functions with sup bound s and
     Lipschitz bound L, s + L <= 1. The substitution g_i = f_i + s keeps
     every variable nonnegative: variables are (g_0..g_{n-1}, s, L) with
         g_i - 2 s <= 0,   g_i - g_j - L d(i,j) <= 0 (i != j),   s + L <= 1,
-    and the objective sum_i w_i g_i - (sum_i w_i) s.
+    and the objective sum_i w_i g_i - (sum_i w_i) s. The pair rows run
+    over (i, j) in row-major order.
     """
     n = weights.shape[0]
-    rows = []
-    for i in range(n):
-        r = np.zeros(n + 2)
-        r[i] = 1.0
-        r[n] = -2.0
-        rows.append(r)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r = np.zeros(n + 2)
-            r[i] = 1.0
-            r[j] = -1.0
-            r[n + 1] = -metric[i, j]
-            rows.append(r)
-    r = np.zeros(n + 2)
-    r[n] = 1.0
-    r[n + 1] = 1.0
-    rows.append(r)
-    A = np.array(rows)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    pair_rows = n + np.arange(i.size)
+    A = np.zeros((n + i.size + 1, n + 2))
+    A[:n, :n] = np.eye(n)
+    A[:n, n] = -2.0
+    A[pair_rows, i] = 1.0
+    A[pair_rows, j] = -1.0
+    A[pair_rows, n + 1] = -metric[i, j]
+    A[-1, n:] = 1.0
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
     c = np.concatenate([weights, [-weights.sum(), 0.0]])
-    value, x = solve_lp(c, A, b)
-    f = x[:n] - x[n]
-    return value, f
+    return solve_lp(c, A, b)[0]
 
 
 def bl_dual_norm(mu: DiscreteMeasure) -> float:
@@ -148,8 +136,7 @@ def bl_dual_norm(mu: DiscreteMeasure) -> float:
     """
     if not np.any(mu.weights):
         return 0.0
-    value, _ = _dual_norm_lp(mu.weights, mu.space.metric)
-    return value
+    return _dual_norm_lp(mu.weights, mu.space.metric)
 
 
 def flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

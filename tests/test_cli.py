@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -284,6 +285,43 @@ class TestSweep:
         assert "ok" in rows[0].split(",")
         assert "validation-error" in rows[1].split(",")
         assert "kernel shape (2, 3) does not match 2 atoms" in rows[1]
+
+    def test_list_valued_sweep_value_keeps_csv_well_formed(self, tmp_path):
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["control"]["t_end"] = 1.0
+        cfg["kernel"] = {"renormalize": True}
+        matrices = [[[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.2, 0.8]]]
+        cfg["sweep"] = {"kernel.matrix": matrices}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        for row, matrix in zip(rows, matrices):
+            assert len(row) == len(header)
+            cells = dict(zip(header, row))
+            assert cells["status"] == "ok"
+            assert json.loads(cells["kernel.matrix"]) == matrix
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_io_error_fails_only_its_row(self, tmp_path, jobs):
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["control"]["t_end"] = 1.0
+        cfg["sweep"] = {"rates.inflow": [0.5, 1.0]}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_0001").write_text("not a directory", encoding="utf-8")
+        code = main(["sweep", "--scenario", str(path), "--out", str(out),
+                     "--jobs", jobs])
+        assert code == 4
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["status"] for c in cells] == ["ok", "io-error"]
+        assert "run_0001" in cells[1]["error"]
+        assert (out / "run_0000" / "trajectory.csv").exists()
 
 
 def off_grid_cfg():

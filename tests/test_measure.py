@@ -17,7 +17,7 @@ from crflow.measure import (
 from crflow.space import StrategySpace, build_grid
 
 from conftest import random_space
-from oracles import flat_norm_bruteforce
+from oracles import flat_norm_bruteforce, flat_norm_highs
 
 
 @pytest.fixture
@@ -143,6 +143,16 @@ class TestFlatDistance:
         assert flat_distance(dirac(sp, 0), dirac(sp, 1)) == pytest.approx(
             1.0, abs=1e-10
         )
+
+    @pytest.mark.parametrize("dim, counts", [(1, [40]), (2, [6, 6])])
+    def test_matches_highs_at_benchmark_sizes(self, rng, dim, counts):
+        # the largest 1-D and 2-D spaces of the flatnorm benchmark
+        sp = build_grid(dim, [(0.0, 1.0)] * dim, counts)
+        for _ in range(2):
+            mu = measure(sp, rng.uniform(0.0, 1.0, sp.size))
+            nu = measure(sp, rng.uniform(0.0, 1.0, sp.size))
+            ref = flat_norm_highs(mu.weights - nu.weights, sp.metric)
+            assert flat_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
 
 
 class TestBulletActions:
