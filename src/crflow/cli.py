@@ -9,6 +9,7 @@ same inputs are byte-for-byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -286,7 +287,9 @@ def cmd_sweep(args) -> int:
     return worst
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused after."""
     parser = argparse.ArgumentParser(
         prog="crflow",
         description="Consumer-resource dynamics on discrete measures",
@@ -297,24 +300,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scenario and write outputs")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="run the invariant suite on scenarios")
     p.add_argument("--scenario", required=True, help="scenario file or directory")
     p.add_argument("--out", default=None)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("flatnorm", help="flat distance between two measure files")
     p.add_argument("measure_a")
     p.add_argument("measure_b")
-    p.set_defaults(func=cmd_flatnorm)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a template")
     p.add_argument("--scenario", required=True, help="template with a 'sweep' section")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -327,8 +326,10 @@ def _emit_error(kind: str, message: str, code: int) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call, so a wrapper installed on cmd_<name> runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except NumericalError as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_NUMERICAL)
         return EXIT_NUMERICAL

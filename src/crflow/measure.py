@@ -1,9 +1,11 @@
 """Discrete measures, the duality pairing, the flat norm, and the bullet actions.
 
 A measure is a signed weight vector over the atoms of a StrategySpace. The
-flat norm (bounded-Lipschitz dual norm) of a discrete measure is computed
-exactly by a small linear program; it metrizes weak* convergence and is the
-distance used throughout the dynamics and diagnostics.
+flat norm (bounded-Lipschitz dual norm) of a discrete measure metrizes
+weak* convergence and is the distance used throughout the dynamics and
+diagnostics. It is computed exactly by a linear program in its flow form,
+n + 2 rows for n atoms, and every value is certified by the optimal test
+function that the solver's multipliers give.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crflow.errors import DimensionError
+from crflow.errors import DimensionError, NumericalError
 from crflow.simplex import solve_lp
 from crflow.space import StrategySpace
+
+# Relative tolerance of the flat-norm certificate.
+CERT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,34 +106,53 @@ def bl_norm_fn(g: AtomFunction) -> float:
     return sup + lip
 
 
-def _dual_norm_lp(weights: np.ndarray, metric: np.ndarray) -> float:
-    """Build and solve the flat-norm LP for a weight vector.
+def _flow_lp(weights: np.ndarray, metric: np.ndarray):
+    """(c, A, b, basis) of the flow form of the flat norm of a weight vector.
 
-    Maximize sum_i f_i w_i over test functions with sup bound s and
-    Lipschitz bound L, s + L <= 1. The substitution g_i = f_i + s keeps
-    every variable nonnegative: variables are (g_0..g_{n-1}, s, L) with
-        g_i - 2 s <= 0,   g_i - g_j - L d(i,j) <= 0 (i != j),   s + L <= 1,
-    and the objective sum_i w_i g_i - (sum_i w_i) s. The pair rows run
-    over (i, j) in row-major order.
+    Columns: created mass a+ and a- (n each), one flow pi_ij per ordered
+    pair i != j in row-major order, the value t and the slacks of its two
+    bounds. Rows: a+_i - a-_i + sum_j (pi_ij - pi_ji) = w_i for each atom,
+    then sum(a+ + a-) - t + sigma_s = 0 and sum_ij d_ij pi_ij - t + sigma_L
+    = 0. The starting basis creates every weight where it sits, with
+    t = sigma_L = ||w||_1.
     """
     n = weights.shape[0]
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    pair_rows = n + np.arange(i.size)
-    A = np.zeros((n + i.size + 1, n + 2))
-    A[:n, :n] = np.eye(n)
-    A[:n, n] = -2.0
-    A[pair_rows, i] = 1.0
-    A[pair_rows, j] = -1.0
-    A[pair_rows, n + 1] = -metric[i, j]
-    A[-1, n:] = 1.0
-    b = np.zeros(A.shape[0])
-    b[-1] = 1.0
-    c = np.concatenate([weights, [-weights.sum(), 0.0]])
-    return solve_lp(c, A, b)[0]
+    atoms = np.arange(n)
+    arcs = 2 * n + np.arange(i.size)
+    t = 2 * n + i.size
+    A = np.zeros((n + 2, t + 3))
+    A[atoms, atoms] = 1.0
+    A[atoms, n + atoms] = -1.0
+    A[i, arcs] = 1.0
+    A[j, arcs] = -1.0
+    A[n, :2 * n] = 1.0
+    A[n + 1, arcs] = metric[i, j]
+    A[n:, t] = -1.0
+    A[n, t + 1] = 1.0
+    A[n + 1, t + 2] = 1.0
+    b = np.zeros(n + 2)
+    b[:n] = weights
+    c = np.zeros(t + 3)
+    c[t] = 1.0
+    basis = np.concatenate([np.where(weights >= 0.0, atoms, n + atoms), [t, t + 2]])
+    return c, A, b, basis
 
 
 def bl_dual_norm(mu: DiscreteMeasure) -> float:
     """Flat norm: sup of |mu[g]| over test functions with BL norm <= 1.
+
+    By LP duality this is the least max(||a||_1, sum_ij d_ij pi_ij) over
+    splittings mu = a + div pi into created mass a and a flow pi >= 0
+    between atoms (the created-plus-transported form of the flat metric).
+    That LP has n + 2 rows, and `solve_lp` inverts its basis afresh at
+    every pivot. Its multipliers are the optimal test function f on the
+    atom rows and -s, -L on the two bound rows, where s is the sup bound
+    and L the Lipschitz bound of f. The value is accepted only with a
+    certificate: bl_norm_fn(f) <= 1 + CERT_TOL, the flow reproduces mu and
+    meets both bounds to CERT_TOL * ||mu||_1, and the duality gap
+    |t - mu[f]| is at most CERT_TOL * t. Otherwise a NumericalError is
+    raised instead of returning a number.
 
     Exact for finite supports: the optimal test function extends to the
     whole space with the same sup and Lipschitz bounds, so the finite LP
@@ -136,7 +160,26 @@ def bl_dual_norm(mu: DiscreteMeasure) -> float:
     """
     if not np.any(mu.weights):
         return 0.0
-    return _dual_norm_lp(mu.weights, mu.space.metric)
+    # Scale by the power of two that brings the largest weight into
+    # [1/2, 1): exact, and every LP then has the scale its tolerances assume.
+    exponent = int(np.frexp(np.abs(mu.weights).max())[1])
+    w = np.ldexp(mu.weights, -exponent)
+    c, A, b, basis = _flow_lp(w, mu.space.metric)
+    value, x, y = solve_lp(c, A, b, basis)
+    f = AtomFunction(mu.space, y[:w.size])
+    checks = (
+        ("test function BL norm", bl_norm_fn(f), 1.0 + CERT_TOL),
+        ("flow error", max(float(np.abs(A @ x - b).max()), -float(x.min())),
+         CERT_TOL * float(np.abs(w).sum())),
+        ("duality gap", abs(value - float(np.dot(f.values, w))), CERT_TOL * value),
+    )
+    for what, got, bound in checks:
+        if not got <= bound:
+            raise NumericalError(
+                f"flat norm certificate failed on {w.size} atoms: "
+                f"{what} {got!r} exceeds {bound!r}"
+            )
+    return float(np.ldexp(value, exponent))
 
 
 def flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

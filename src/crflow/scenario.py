@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -81,9 +82,54 @@ def _object(node, path: str, kind: str) -> dict:
     return node
 
 
-def load_config(path) -> dict:
+class _NonFinite:
+    """Stands in for a number that JSON parsing would make NaN or infinite."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _first_non_finite(node, path: str):
+    """(key path, literal) of the first _NonFinite under node, or None."""
+    if isinstance(node, _NonFinite):
+        return path, node.text
+    if isinstance(node, dict):
+        items = [(f"{path}.{key}" if path else key, v) for key, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{k}]", v) for k, v in enumerate(node)]
+    else:
+        return None
+    for child_path, child in items:
+        found = _first_non_finite(child, child_path)
+        if found:
+            return found
+    return None
+
+
+def _load_json(path, prefix: str = ""):
+    """Parse a JSON file. NaN, Infinity, -Infinity and numbers too large
+    for a float are a ConfigError naming their key path after prefix; the
+    document is walked only when the parser met one.
+    """
+    seen = []
+
+    def number(text: str):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+        seen.append(text)
+        return _NonFinite(text)
+
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        doc = json.load(fh, parse_float=number, parse_constant=number)
+    if seen:
+        where, text = _first_non_finite(doc, "")
+        raise ConfigError(f"{prefix}{where}: non-finite number {text}")
+    return doc
+
+
+def load_config(path) -> dict:
+    cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: scenario must be a JSON object")
     return cfg
@@ -276,8 +322,7 @@ def build_scenario(cfg: dict) -> Scenario:
 
 def load_measure_file(path):
     """Measure file: a space spec plus (atom index, weight) pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, f"{path}: ")
     if not isinstance(doc, dict) or "space" not in doc or "weights" not in doc:
         raise ConfigError(f"{path}: measure file needs 'space' and 'weights'")
     space = build_space(doc["space"], f"{path}: space")

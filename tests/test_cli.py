@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crflow.cli
+import crflow.measure
 from crflow.cli import main
 from crflow.dynamics import StepControl, integrate
 from crflow.errors import ConfigError, ValidationError
@@ -215,6 +217,37 @@ class TestFlatnorm:
                      str(SCENARIOS / "measures" / "dirac_a.json"), str(path)])
         assert code == 2
 
+    def test_failed_certificate_exits_3(self, monkeypatch, capsys):
+        solve = crflow.measure.solve_lp
+
+        def corrupted(*lp):
+            value, x, y = solve(*lp)
+            return value, x, 2.0 * y
+
+        monkeypatch.setattr(crflow.measure, "solve_lp", corrupted)
+        code = main(["flatnorm", str(SCENARIOS / "measures" / "dirac_a.json"),
+                     str(SCENARIOS / "measures" / "dirac_b.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "NumericalError"
+        assert "certificate failed" in err["message"]
+
+    def test_parser_is_reused_and_commands_are_looked_up_per_call(
+            self, monkeypatch, capsys):
+        argv = ["flatnorm", str(SCENARIOS / "measures" / "dirac_a.json"),
+                str(SCENARIOS / "measures" / "dirac_b.json")]
+        assert main(argv) == 0
+        parser = crflow.cli._build_parser()
+        calls = []
+        monkeypatch.setattr(crflow.cli, "cmd_flatnorm",
+                            lambda args: calls.append(args.measure_b) or 0)
+        assert main(argv) == 0
+        assert crflow.cli._build_parser() is parser
+        assert calls == [argv[2]]
+        assert capsys.readouterr().out == "0.666666666667\n"
+
 
 class TestSweep:
     def test_inflow_sweep(self, tmp_path, capsys):
@@ -409,6 +442,44 @@ class TestConfigErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["message"].startswith(
             f"{path}: weights: ")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_measure_weight_exits_2(self, tmp_path, capsys, literal):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [2]}},'
+            ' "weights": [[0, 1.0], [1, %s]]}' % literal, encoding="utf-8")
+        code = main(["flatnorm", str(path),
+                     str(SCENARIOS / "measures" / "dirac_b.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"] == (
+            f"{path}: weights[1][1]: non-finite number {literal}")
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("inflow", math.nan, "rates.inflow: non-finite number NaN"),
+        ("dilution", math.inf, "rates.dilution: non-finite number Infinity"),
+        ("weights", [0.3, -math.inf],
+         "initial.weights[1]: non-finite number -Infinity"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, key,
+                                                value, where, command):
+        cfg = washout_cfg()
+        cfg["initial" if key == "weights" else "rates"][key] = value
+        path = write_cfg(tmp_path, cfg)          # json writes NaN, Infinity
+        argv = [command, "--scenario", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["type"], err["message"]) == ("ConfigError", where)
 
     def test_ill_typed_sweep_value_fails_its_row_only(self, tmp_path):
         cfg = load_config(SCENARIOS / "sweep_inflow.json")

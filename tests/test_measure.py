@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import crflow.kernel as kern
-from crflow.errors import DimensionError
+import crflow.measure
+from crflow.errors import DimensionError, NumericalError
 from crflow.measure import (
     AtomFunction,
     DiscreteMeasure,
@@ -105,6 +106,14 @@ class TestDualNorm:
                 abs(alpha) * base, abs=1e-9
             )
 
+    @pytest.mark.parametrize("k", [-1071, -30, 30, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # down to subnormal weights, where a relative tolerance underflows
+        sp = build_grid(1, [(0.0, 1.0)], [2])
+        w = np.array([-0.75, 0.625])
+        assert bl_dual_norm(measure(sp, np.ldexp(w, k))) == np.ldexp(
+            bl_dual_norm(measure(sp, w)), k)
+
     def test_triangle_inequality(self, rng):
         for _ in range(20):
             sp = random_space(rng, max_atoms=5)
@@ -153,6 +162,59 @@ class TestFlatDistance:
             nu = measure(sp, rng.uniform(0.0, 1.0, sp.size))
             ref = flat_norm_highs(mu.weights - nu.weights, sp.metric)
             assert flat_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
+
+
+class TestFlatNormGate:
+    """The flat norm against HiGHS at every size, and its certificate."""
+
+    # (dimension, atoms per axis, seed). The first pair of seed 1 at 9x9
+    # and the fourth pair of seed 0 at 10x10 are pairs on which the former
+    # tableau solver returned 5.415 and 4.414 without raising.
+    @pytest.mark.parametrize("dim, count, seed", [
+        (1, 40, 40),
+        (1, 100, 100),
+        pytest.param(1, 200, 200, marks=pytest.mark.slow),
+        (2, 6, 6),
+        (2, 8, 8),
+        (2, 9, 1),
+        (2, 10, 0),
+    ])
+    def test_matches_highs_on_random_pairs(self, dim, count, seed):
+        sp = build_grid(dim, [(0.0, 1.0)] * dim, [count] * dim)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            mu = measure(sp, rng.random(sp.size))
+            nu = measure(sp, rng.random(sp.size))
+            ref = flat_norm_highs(mu.weights - nu.weights, sp.metric)
+            assert flat_distance(mu, nu) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("weights", [
+        [1e-9, 2.0, 3.0, 10.0, 1e-9, 0.0, -1.0, -1.0],
+        [1e-9 - 1.0, 1.0, 1.0],
+    ])
+    def test_near_tied_ratios_keep_the_flow_feasible(self, weights):
+        # ratios 1 and 1 + 1e-9 meet in the ratio test; taking the larger
+        # one as a tie drives a basic variable to -1e-9
+        sp = build_grid(1, [(0.0, 1.0)], [len(weights)])
+        mu = measure(sp, weights)
+        assert bl_dual_norm(mu) == pytest.approx(
+            flat_norm_highs(mu.weights, sp.metric), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda value, x, y: (value, x, 1.001 * y), "BL norm"),
+        (lambda value, x, y: (value, 1.001 * x, y), "flow error"),
+        (lambda value, x, y: (value * (1.0 + 1e-9), x, y), "duality gap"),
+    ])
+    def test_corrupted_solution_raises(self, monkeypatch, corrupt, field):
+        solve = crflow.measure.solve_lp
+        monkeypatch.setattr(crflow.measure, "solve_lp",
+                            lambda *lp: corrupt(*solve(*lp)))
+        sp = build_grid(2, [(0.0, 1.0)] * 2, [3, 3])
+        rng = np.random.default_rng(5)
+        mu = measure(sp, rng.random(sp.size) - rng.random(sp.size))
+        with pytest.raises(NumericalError, match="certificate failed") as err:
+            bl_dual_norm(mu)
+        assert field in str(err.value)
 
 
 class TestBulletActions:
