@@ -2,27 +2,24 @@
 
 The state of the system is a pair (S, mu): a scalar resource level and a
 population distribution over a finite strategy space. The package provides
-the flat (bounded-Lipschitz dual) norm on signed measures, mutation-kernel
-algebra, vital-rate families, two independent time integrators, and
+the flat (bounded-Lipschitz dual) norm on signed measures, mutation
+kernels, vital-rate families, two independent time integrators, and
 diagnostics tying trajectories to conservation and boundedness properties.
+`run` integrates a scenario built by `crflow.scenario.build_scenario`.
 """
 
 __version__ = "0.1.0"
 
-from crflow.space import StrategySpace, build_grid, diameter
+from crflow.space import StrategySpace, build_grid
 from crflow.measure import (
     AtomFunction,
     DiscreteMeasure,
     bl_dual_norm,
     bl_norm_fn,
-    bullet_fn,
-    bullet_kernel,
     flat_distance,
-    pair,
 )
 from crflow.kernel import (
     MutationKernel,
-    kernel_lipschitz_bound,
     local_mutation_kernel,
     pure_selection_kernel,
     validate_stochastic,
@@ -41,13 +38,11 @@ from crflow.dynamics import (
     Trajectory,
     integrate,
     picard_solve,
-    semiflow,
-    vector_field,
 )
 from crflow.analysis import (
     breakeven,
-    compare_to_ode,
     concentration,
     diagnostics,
     dissipativity_bound,
 )
+from crflow.scenario import run

@@ -9,6 +9,7 @@ same inputs are byte-for-byte identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 import crflow
-from crflow.analysis import diagnostics
 from crflow.dynamics import StepControl, Trajectory, integrate, picard_solve
 from crflow.errors import ConfigError, CrflowError, NumericalError, ValidationError
 from crflow.measure import flat_distance
@@ -28,6 +28,7 @@ from crflow.scenario import (
     build_scenario,
     load_config,
     load_measure_file,
+    run,
 )
 
 EXIT_OK = 0
@@ -38,18 +39,6 @@ EXIT_IO = 4
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def run_scenario(sc: Scenario) -> Trajectory:
-    if sc.control.method == "picard":
-        traj = picard_solve(
-            sc.state0, sc.control.t_end, sc.rates, sc.kernel, **sc.picard_options
-        )
-    else:
-        traj = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates, sc.kernel)
-    traj.metadata["scenario_hash"] = sc.hash
-    traj.metadata["version"] = crflow.__version__
-    return traj
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -73,8 +62,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     sc = build_scenario(load_config(args.scenario))
-    traj = run_scenario(sc)
-    report = diagnostics(traj, sc.rates)
+    traj, report = run(sc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj)
@@ -96,22 +84,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def run_checks(sc: Scenario, tol: float = 1e-6):
-    """Invariant checks for one scenario: (name, ok, residual) triples."""
+def run_checks(sc: Scenario, tol: float):
+    """Invariant checks for one scenario: (name, ok, residual) triples.
+
+    The scenario runs with fixed-step RK4 at its own dt, recording every step.
+    """
     control = StepControl(
         method="rk4",
         dt=sc.control.dt,
         t_end=sc.control.t_end,
         record_every=1,
     )
-    traj = integrate(sc.state0, control.t_end, control, sc.rates, sc.kernel)
-    rep = diagnostics(traj, sc.rates)
+    traj, rep = run(dataclasses.replace(sc, control=control))
     results = []
 
     worst_neg = -min(rep.min_weight_observed, rep.min_substrate_observed, 0.0)
     results.append(("positivity", worst_neg <= 1e-9, worst_neg))
 
-    # None when dt does not divide t_end or there are fewer than 3 points
+    # None when dt does not divide t_end or there are fewer than 5 points
     mb = rep.mass_balance_max_residual
     if mb is not None:
         results.append(("mass_balance", mb <= tol, mb))
@@ -211,8 +201,7 @@ def _sweep_child(task):
     row = {"run": index, "status": "ok", "error": "", "exit_code": EXIT_OK}
     try:
         sc = build_scenario(cfg)
-        traj = run_scenario(sc)
-        rep = diagnostics(traj, sc.rates)
+        traj, rep = run(sc)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out / "trajectory.csv", traj)

@@ -108,18 +108,6 @@ def _make_rhs(rates: VitalRates, K: MutationKernel):
     return rhs
 
 
-def vector_field(state: SystemState, rates: VitalRates, K: MutationKernel):
-    """Right-hand side of the constraint equation at one state.
-
-    dS = inflow - dilution*S - mu[B(S,.)];
-    dmu = K applied to the birth measure B(S,.) . mu, minus D(S,.) . mu.
-    """
-    if not K.space.same_as(state.space):
-        raise ConfigError("kernel and state live on different spaces")
-    dS, dw = _make_rhs(rates, K)(state.S, state.mu.weights)
-    return dS, DiscreteMeasure(state.space, dw)
-
-
 def _rk4(rhs, S, w, dt):
     k1S, k1w = rhs(S, w)
     k2S, k2w = rhs(S + 0.5 * dt * k1S, w + 0.5 * dt * k1w)
@@ -145,15 +133,24 @@ def _clamp_weights(w, counter):
     return w
 
 
-def _march(rhs, state0: SystemState, t_end: float, control: StepControl) -> Trajectory:
-    """Step rhs(S, w) from state0 to t_end: fixed-step RK4 or step doubling.
+def integrate(
+    state0: SystemState,
+    t_end: float,
+    control: StepControl,
+    rates: VitalRates,
+    K: MutationKernel,
+) -> Trajectory:
+    """Integrate on [0, t_end]: fixed-step RK4 or step doubling.
 
-    Every accepted step takes the same path: a finiteness check, the weight
-    clamp, then recording when the step count is a multiple of record_every
-    or the step is the last. Weights drifting into (-1e-9, 0) are clamped to
-    zero and counted in the metadata; larger violations abort with a
-    positivity error.
+    control.method is "rk4" or "adaptive"; Picard runs go through
+    picard_solve. Every accepted step takes the same path: a finiteness
+    check, the weight clamp, then recording when the step count is a
+    multiple of record_every or the step is the last. Weights drifting into
+    (-1e-9, 0) are clamped to zero and counted in the metadata; larger
+    violations abort with a positivity error.
     """
+    if not K.space.same_as(state0.space):
+        raise ConfigError("kernel and state live on different spaces")
     if t_end < 0:
         raise ConfigError("t_end must be nonnegative")
     if control.method not in ("rk4", "adaptive"):
@@ -161,6 +158,7 @@ def _march(rhs, state0: SystemState, t_end: float, control: StepControl) -> Traj
     dt = control.dt
     if dt <= 0:
         raise ConfigError("dt must be positive")
+    rhs = _make_rhs(rates, K)
     clamped = [0]
     steps = 0
     S = float(state0.S)
@@ -233,41 +231,9 @@ def _march(rhs, state0: SystemState, t_end: float, control: StepControl) -> Traj
         times=np.asarray(times),
         S=np.asarray(S_hist),
         weights=np.asarray(w_hist),
-        metadata={"dt": control.dt, "t_end": t_end, "clamped_weights": clamped[0]},
+        metadata={"dt": control.dt, "t_end": t_end, "clamped_weights": clamped[0],
+                  "integrator": control.method},
     )
-
-
-def integrate(
-    state0: SystemState,
-    t_end: float,
-    control: StepControl,
-    rates: VitalRates,
-    K: MutationKernel,
-) -> Trajectory:
-    """Integrate on [0, t_end] with control.method "rk4" or "adaptive".
-
-    Picard runs go through picard_solve; see _march for recording and the
-    weight clamp.
-    """
-    traj = _march(_make_rhs(rates, K), state0, t_end, control)
-    traj.metadata["integrator"] = control.method
-    return traj
-
-
-def semiflow(
-    t: float,
-    state0: SystemState,
-    rates: VitalRates,
-    K: MutationKernel,
-    control: StepControl | None = None,
-) -> SystemState:
-    """Evolution operator: the state at time t from state0."""
-    if t < 0:
-        raise ConfigError("semiflow time must be nonnegative")
-    if t == 0:
-        return state0
-    control = control if control is not None else StepControl()
-    return integrate(state0, t, control, rates, K).endpoint()
 
 
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
@@ -392,8 +358,7 @@ def picard_solve(
             ratio = max(ratios[-5:]) if ratios else float("nan")
             raise ConvergenceError(
                 f"picard iteration did not converge in {max_iter} steps "
-                f"(last contraction ratio {ratio!r})",
-                ratio=ratio,
+                f"(last contraction ratio {ratio!r})"
             )
         W_arr = np.vstack([_clamp_weights(w, clamped) for w in W_arr])
         all_times.append(t_offset + tau[1:])

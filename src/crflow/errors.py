@@ -28,10 +28,6 @@ class PositivityError(NumericalError):
 class ConvergenceError(NumericalError):
     """An iterative solver exceeded its iteration budget."""
 
-    def __init__(self, message, ratio=None):
-        super().__init__(message)
-        self.ratio = ratio
-
 
 class StiffnessError(NumericalError):
     """Adaptive step size underflowed."""

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from crflow.errors import ConfigError, DimensionError
-from crflow.measure import DiscreteMeasure, flat_distance
 from crflow.space import StrategySpace
 
 ROW_SUM_TOL = 1e-12
@@ -44,9 +43,6 @@ class MutationKernel:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
-    def row_measure(self, i: int) -> DiscreteMeasure:
-        return DiscreteMeasure(self.space, self.rows[i])
-
 
 def pure_selection_kernel(space: StrategySpace) -> MutationKernel:
     """Offspring keep the parent strategy exactly: the identity kernel."""
@@ -60,23 +56,6 @@ def local_mutation_kernel(space: StrategySpace, width: float) -> MutationKernel:
     logw = -(space.metric ** 2) / (2.0 * width ** 2)
     rows = np.exp(logw)
     return MutationKernel(space, rows / rows.sum(axis=1)[:, None])
-
-
-def kernel_lipschitz_bound(K: MutationKernel) -> float:
-    """Largest flat-distance difference quotient between kernel rows.
-
-    Places the kernel in the class of Lipschitz maps into probability
-    functionals with this bound. 0 on a singleton space.
-    """
-    n = K.space.size
-    if n < 2:
-        return 0.0
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            quot = flat_distance(K.row_measure(i), K.row_measure(j)) / K.space.metric[i, j]
-            best = max(best, quot)
-    return best
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Discrete measures, the duality pairing, the flat norm, and the bullet actions.
+"""Discrete measures, test functions and the flat norm.
 
 A measure is a signed weight vector over the atoms of a StrategySpace. The
 flat norm (bounded-Lipschitz dual norm) of a discrete measure metrizes
@@ -85,12 +85,6 @@ def dirac(space: StrategySpace, atom: int) -> DiscreteMeasure:
 def _check_same_space(a, b):
     if not a.space.same_as(b.space):
         raise DimensionError("operands live on different strategy spaces")
-
-
-def pair(mu: DiscreteMeasure, g: AtomFunction) -> float:
-    """Duality pairing mu[g] = sum_i g(i) mu(i)."""
-    _check_same_space(mu, g)
-    return float(np.dot(g.values, mu.weights))
 
 
 def bl_norm_fn(g: AtomFunction) -> float:
@@ -186,20 +180,3 @@ def flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Flat-metric distance between two measures on the same space."""
     _check_same_space(mu, nu)
     return bl_dual_norm(mu - nu)
-
-
-def bullet_fn(f: AtomFunction, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Action of a function on a measure: (f . mu)[g] = mu[f g]."""
-    _check_same_space(f, mu)
-    return DiscreteMeasure(mu.space, f.values * mu.weights)
-
-
-def bullet_kernel(K, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Action of a kernel on a measure: nu_j = sum_i K(i,j) mu_i.
-
-    Transpose application, so that pairing nu against g equals pairing mu
-    against the function q -> (row of K at q applied to g).
-    """
-    if not K.space.same_as(mu.space):
-        raise DimensionError("kernel and measure live on different spaces")
-    return DiscreteMeasure(mu.space, K.rows.T @ mu.weights)

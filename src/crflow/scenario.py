@@ -1,9 +1,10 @@
-"""Scenario configuration: parsing, validation, and deterministic hashing.
+"""Scenarios: parsing, validation, deterministic hashing, and running.
 
 A scenario is a single JSON document declaring the strategy space, the
 mutation kernel, the vital rates, the initial state, and integrator
 control. Every output file embeds the content hash of the effective
-configuration, so reruns are byte-for-byte reproducible.
+configuration, so reruns are byte-for-byte reproducible. `run` integrates
+a built scenario with the method its control names.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crflow.dynamics import StepControl, SystemState
+import crflow
+from crflow.analysis import DiagnosticsReport, diagnostics
+from crflow.dynamics import (
+    StepControl,
+    SystemState,
+    Trajectory,
+    integrate,
+    picard_solve,
+)
 from crflow.errors import ConfigError, ValidationError
 from crflow.kernel import (
     MutationKernel,
@@ -53,6 +62,21 @@ def _reading(path: str):
         raise ConfigError(f"{path}.{exc.args[0]}: required key is missing") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+_REQUIRED = object()
+
+
+def _number(kind, spec: dict, key: str, path: str, default=_REQUIRED):
+    """kind(spec[key]), or kind(default) when the key is absent and a default
+    is given. A missing or ill-typed value is a ConfigError naming path.key.
+    """
+    try:
+        return kind(spec[key] if default is _REQUIRED else spec.get(key, default))
+    except KeyError:
+        raise ConfigError(f"{path}.{key}: required key is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
 # The keys each kind of scenario object may hold; any other is a ConfigError.
@@ -179,7 +203,7 @@ def _resolve_coeff(value, space: StrategySpace, name: str):
 def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     renorm = bool(spec.get("renormalize", False))
     if "matrix" in spec:
-        with _reading("kernel"):
+        with _reading("kernel.matrix"):
             rows = np.asarray(spec["matrix"], dtype=float)
         report = validate_stochastic(rows, space)
         if not report.ok and not renorm:
@@ -192,9 +216,7 @@ def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     if family == "pure_selection":
         return pure_selection_kernel(space)
     if family == "gaussian":
-        with _reading("kernel"):
-            width = float(spec["width"])
-        return local_mutation_kernel(space, width)
+        return local_mutation_kernel(space, _number(float, spec, "width", "kernel"))
     raise ConfigError(f"unknown kernel family {family!r}")
 
 
@@ -202,8 +224,8 @@ def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
     with _reading("rates"):
         up = _object(spec["uptake"], "rates.uptake", "uptake")
         mo = _object(spec["mortality"], "rates.mortality", "mortality")
-        inflow = float(spec["inflow"])
-        dilution = float(spec["dilution"])
+    inflow = _number(float, spec, "inflow", "rates")
+    dilution = _number(float, spec, "dilution", "rates")
     with _reading("rates.uptake"):
         uptake = UptakeSpec.build(
             up["family"],
@@ -230,14 +252,13 @@ def build_control(spec: dict) -> StepControl:
     method = spec.get("method", "rk4")
     if method not in ("rk4", "adaptive", "picard"):
         raise ConfigError(f"unknown integrator {method!r}")
-    with _reading("control"):
-        return StepControl(
-            method=method,
-            dt=float(spec.get("dt", 1e-3)),
-            t_end=float(spec["t_end"]),
-            tolerance=float(spec.get("tolerance", 1e-8)),
-            record_every=int(spec.get("record_every", 1)),
-        )
+    return StepControl(
+        method=method,
+        dt=_number(float, spec, "dt", "control", 1e-3),
+        t_end=_number(float, spec, "t_end", "control"),
+        tolerance=_number(float, spec, "tolerance", "control", 1e-8),
+        record_every=_number(int, spec, "record_every", "control", 1),
+    )
 
 
 @dataclass
@@ -274,8 +295,8 @@ def build_scenario(cfg: dict) -> Scenario:
     rates = build_rates(cfg["rates"], space)
 
     init = cfg["initial"]
+    S0 = _number(float, init, "S", "initial")
     with _reading("initial"):
-        S0 = float(init["S"])
         weights = np.asarray(init["weights"], dtype=float)
     if weights.shape != (space.size,):
         raise ConfigError(
@@ -300,13 +321,12 @@ def build_scenario(cfg: dict) -> Scenario:
 
     control_spec = cfg["control"]
     control = build_control(control_spec)
-    with _reading("control"):
-        picard_options = {
-            "lam": control_spec.get("lambda"),
-            "tol": float(control_spec.get("picard_tol", 1e-12)),
-            "nodes": int(control_spec.get("nodes", 512)),
-            "max_iter": int(control_spec.get("max_iter", 200)),
-        }
+    picard_options = {
+        "lam": control_spec.get("lambda"),
+        "tol": _number(float, control_spec, "picard_tol", "control", 1e-12),
+        "nodes": _number(int, control_spec, "nodes", "control", 512),
+        "max_iter": _number(int, control_spec, "max_iter", "control", 200),
+    }
     with _reading("seed"):
         int(cfg.get("seed", 0))      # type check only
 
@@ -318,6 +338,24 @@ def build_scenario(cfg: dict) -> Scenario:
         picard_options=picard_options,
         hash=scenario_hash(cfg),
     )
+
+
+def run(sc: Scenario) -> tuple[Trajectory, DiagnosticsReport]:
+    """Integrate a scenario and build its DiagnosticsReport.
+
+    The method is chosen here and nowhere else: "picard" runs picard_solve
+    with sc.picard_options, "rk4" and "adaptive" run integrate. The
+    trajectory's metadata carries the scenario hash and the package version.
+    """
+    if sc.control.method == "picard":
+        traj = picard_solve(
+            sc.state0, sc.control.t_end, sc.rates, sc.kernel, **sc.picard_options
+        )
+    else:
+        traj = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates, sc.kernel)
+    traj.metadata["scenario_hash"] = sc.hash
+    traj.metadata["version"] = crflow.__version__
+    return traj, diagnostics(traj, sc.rates)
 
 
 def load_measure_file(path):

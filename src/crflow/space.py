@@ -59,9 +59,6 @@ class StrategySpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def distance(self, i: int, j: int) -> float:
-        return float(self.metric[i, j])
-
     def same_as(self, other: "StrategySpace") -> bool:
         return (
             self.points.shape == other.points.shape
@@ -99,8 +96,3 @@ def euclidean_metric(points: np.ndarray) -> np.ndarray:
     metric = np.sqrt((diff ** 2).sum(axis=-1))
     np.fill_diagonal(metric, 0.0)
     return metric
-
-
-def diameter(space: StrategySpace) -> float:
-    """Largest pairwise distance; 0 for a singleton."""
-    return float(space.metric.max())

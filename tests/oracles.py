@@ -18,12 +18,23 @@ The package once solved the flat norm in this direct form, with n + n(n-1)
 assembles the same LP row by row; the two pairs give the same bits. All
 four are exact on small spaces and drift on 2-D grids beyond 8x8, where
 the rounding error of thousands of pivots piles up in the tableau.
+
+`reference_integrate` steps any right-hand side as `integrate` does, in a
+loop written out anew; `reduced_ode_trajectory` and `compare_to_ode` use it
+to check the measure-valued system against the classical n-species ODE.
+The kernel Lipschitz bound and the bullet actions of a function and of a
+kernel on a measure are the paper's estimates, written out for the tests
+that check them.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from crflow.dynamics import Trajectory, integrate
+from crflow.errors import ConfigError, DimensionError
+from crflow.measure import DiscreteMeasure, flat_distance
 from crflow.simplex import SimplexError
 
 # The pivot tolerance of the tableau solvers.
@@ -338,3 +349,143 @@ def tableau_flat_norm(weights: np.ndarray, metric: np.ndarray) -> float:
     b[-1] = 1.0
     c = np.concatenate([weights, [-weights.sum(), 0.0]])
     return tableau_solve_lp(c, A, b)[0]
+
+
+def reference_integrate(rhs, state0, t_end, control):
+    """Step rhs(S, w) from state0 to t_end: integrate() redone by hand.
+
+    Fixed-step RK4 or step doubling by control.method. Records every
+    accepted step and returns (times, S, W) arrays.
+    """
+
+    def rk4(S, w, h):
+        k1S, k1w = rhs(S, w)
+        k2S, k2w = rhs(S + 0.5 * h * k1S, w + 0.5 * h * k1w)
+        k3S, k3w = rhs(S + 0.5 * h * k2S, w + 0.5 * h * k2w)
+        k4S, k4w = rhs(S + h * k3S, w + h * k3w)
+        return (S + (h / 6.0) * (k1S + 2.0 * k2S + 2.0 * k3S + k4S),
+                w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+
+    def accept(S, w, t, h):
+        assert math.isfinite(S) and np.all(np.isfinite(w)), (t, h)
+        assert w.min() > -1e-9
+        w = np.where((w < 0.0) & (w > -1e-9), 0.0, w)
+        times.append(t)
+        S_hist.append(S)
+        w_hist.append(w)
+        return w
+
+    S, w = float(state0.S), state0.mu.weights.copy()
+    times, S_hist, w_hist = [0.0], [S], [w]
+    dt = control.dt
+    if control.method == "rk4":
+        n_full = int(math.floor(t_end / dt + 1e-9))
+        for i in range(n_full):
+            S, w = rk4(S, w, dt)
+            w = accept(S, w, (i + 1) * dt, dt)
+        rem = t_end - n_full * dt
+        if rem > 1e-12:
+            S, w = rk4(S, w, rem)
+            accept(S, w, t_end, rem)
+    else:
+        t = 0.0
+        while t < t_end - 1e-13:
+            dt = min(dt, t_end - t)
+            S1, w1 = rk4(S, w, dt)
+            S2, w2 = rk4(*rk4(S, w, 0.5 * dt), 0.5 * dt)
+            err = (abs(S2 - S1) + float(np.abs(w2 - w1).max())) / 15.0
+            if err <= control.tolerance:
+                t += dt
+                S = S2
+                w = accept(S2, w2, t, dt)
+            dt *= min(5.0, max(0.2, 0.9 * (control.tolerance / max(err, 1e-300)) ** 0.2))
+    return np.array(times), np.array(S_hist), np.array(w_hist)
+
+
+def reduced_ode_trajectory(state0, t_end, control, rates):
+    """The classical n-species system, stepped by reference_integrate.
+
+    S' = inflow - dilution*S - sum_j B_j(S) I_j,  I_j' = (B_j(S) - D_j(S)) I_j.
+    This is the finite special case the measure-valued system must reproduce
+    exactly under the pure-selection kernel.
+    """
+    dt = control.dt
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    if abs(round(t_end / dt) * dt - t_end) > 1e-9:
+        raise ConfigError("reduced ODE comparison needs dt dividing t_end")
+
+    def rhs(S, I):
+        B = rates.uptake_values(S)
+        Dm = rates.mortality_values(S)
+        dS = rates.inflow - rates.dilution * S - float(np.dot(B, I))
+        return dS, B * I - Dm * I
+
+    times, S, W = reference_integrate(rhs, state0, t_end, control)
+    return Trajectory(state0.space, times, S, W, {"integrator": "reduced-ode"})
+
+
+def compare_to_ode(state0, t_end, control, rates, K):
+    """Max deviation between integrate's run and the reduced system.
+
+    Requires the pure-selection kernel; with it the two right-hand sides are
+    the same finite system, so the deviation is at machine-precision level.
+    """
+    if not np.array_equal(K.rows, np.eye(K.space.size)):
+        raise ConfigError("compare_to_ode requires the pure-selection kernel")
+    if control.method != "rk4":
+        raise ConfigError("compare_to_ode requires the fixed-step integrator")
+    full = integrate(state0, t_end, control, rates, K)
+    reduced = reduced_ode_trajectory(state0, t_end, control, rates)
+    if len(full) != len(reduced):
+        raise ConfigError("trajectory grids do not align")
+    dev_S = np.abs(full.S - reduced.S).max()
+    dev_w = np.abs(full.weights - reduced.weights).max()
+    return float(max(dev_S, dev_w))
+
+
+def row_measure(K, i):
+    """Row i of a kernel as a measure: the offspring distribution of atom i."""
+    return DiscreteMeasure(K.space, K.rows[i])
+
+
+def kernel_lipschitz_bound(K):
+    """Largest flat-distance difference quotient between kernel rows.
+
+    Places the kernel in the class of Lipschitz maps into probability
+    functionals with this bound. 0 on a singleton space.
+    """
+    n = K.space.size
+    best = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            quot = flat_distance(row_measure(K, i), row_measure(K, j)) / K.space.metric[i, j]
+            best = max(best, quot)
+    return best
+
+
+def _same_space(a, b):
+    if not a.space.same_as(b.space):
+        raise DimensionError("operands live on different strategy spaces")
+
+
+def pair(mu, g):
+    """Duality pairing mu[g] = sum_i g(i) mu(i) of a measure and an AtomFunction."""
+    _same_space(mu, g)
+    return float(np.dot(g.values, mu.weights))
+
+
+def bullet_fn(f, mu):
+    """Action of a function on a measure: (f . mu)[g] = mu[f g]."""
+    _same_space(f, mu)
+    return DiscreteMeasure(mu.space, f.values * mu.weights)
+
+
+def bullet_kernel(K, mu):
+    """Action of a kernel on a measure: nu_j = sum_i K(i,j) mu_i.
+
+    Transpose application, so that pairing nu against g equals pairing mu
+    against the function q -> (row of K at q applied to g).
+    """
+    _same_space(K, mu)
+    return DiscreteMeasure(mu.space, K.rows.T @ mu.weights)

@@ -3,12 +3,10 @@ import pytest
 
 from crflow.analysis import (
     breakeven,
-    compare_to_ode,
     concentration,
     diagnostics,
     dissipativity_bound,
     mass_balance_residual,
-    reduced_ode_trajectory,
 )
 from crflow.dynamics import StepControl, SystemState, integrate
 from crflow.errors import ConfigError, ValidationError
@@ -18,6 +16,7 @@ from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
 from crflow.space import StrategySpace, build_grid
 
 from conftest import random_admissible_scenario
+from oracles import compare_to_ode, reduced_ode_trajectory
 
 
 def make_rates(n=1, b=1.0, a=1.0, d_family="constant", d0=0.3, c=None,
@@ -170,6 +169,19 @@ class TestMassBalance:
             sc["state0"], 2.0, StepControl(dt=1e-3), sc["rates"], sc["kernel"]
         )
         assert mass_balance_residual(traj, sc["rates"]) <= 1e-6
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_substrate_drift_fails(self, rng, dt):
+        # The RK4 run passes the 1e-6 tolerance at both steps; S drifting by
+        # 1e-5 t breaks dM/dt = balance by about 1e-5, which it must catch.
+        for _ in range(5):
+            sc = random_admissible_scenario(rng, max_atoms=6)
+            traj = integrate(
+                sc["state0"], 2.0, StepControl(dt=dt), sc["rates"], sc["kernel"]
+            )
+            assert mass_balance_residual(traj, sc["rates"]) <= 1e-6
+            traj.S = traj.S + 1e-5 * traj.times
+            assert mass_balance_residual(traj, sc["rates"]) > 1e-6
 
     def test_short_trajectory_is_trivially_zero(self, rng):
         sc = random_admissible_scenario(rng, max_atoms=4)

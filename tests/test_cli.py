@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crflow
 import crflow.cli
 import crflow.measure
+from crflow.analysis import diagnostics
 from crflow.cli import main
-from crflow.dynamics import StepControl, integrate
+from crflow.dynamics import StepControl, integrate, picard_solve
 from crflow.errors import ConfigError, ValidationError
-from crflow.scenario import build_scenario, load_config, scenario_hash
+from crflow.scenario import build_scenario, load_config, run, scenario_hash
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -71,6 +73,40 @@ class TestScenarioBuilding:
         assert sc.control.method == "picard"
         with pytest.raises(ConfigError):
             integrate(sc.state0, 1.0, sc.control, sc.rates, sc.kernel)
+
+
+def picard_washout_cfg():
+    cfg = washout_cfg()
+    cfg["control"]["method"] = "picard"
+    return cfg
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestRun:
+    @pytest.mark.parametrize("cfg", [
+        load_config(SCENARIOS / "desk_chemostat.json"),
+        load_config(SCENARIOS / "sweep_inflow.json"),
+        washout_cfg(),
+        picard_washout_cfg(),
+    ], ids=["desk_chemostat", "sweep_inflow", "washout", "washout_picard"])
+    def test_equals_integrator_plus_diagnostics(self, cfg):
+        sc = build_scenario(cfg)
+        traj, report = run(sc)
+        if sc.control.method == "picard":
+            ref = picard_solve(sc.state0, sc.control.t_end, sc.rates, sc.kernel,
+                               **sc.picard_options)
+        else:
+            ref = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates,
+                            sc.kernel)
+        for name in ("times", "S", "weights"):
+            assert np.array_equal(bits(getattr(traj, name)), bits(getattr(ref, name)))
+        assert traj.metadata == {**ref.metadata, "scenario_hash": sc.hash,
+                                 "version": crflow.__version__}
+        # repr prints every float exactly
+        assert repr(report) == repr(diagnostics(ref, sc.rates))
 
 
 class TestSimulate:
@@ -396,8 +432,9 @@ class TestConfigErrors:
         (lambda cfg: cfg["rates"]["uptake"].update(b="abc"), "rates.uptake.b: "),
         (lambda cfg: cfg["rates"].pop("inflow"), "rates.inflow: "),
         (lambda cfg: cfg["space"]["grid"].pop("counts"), "space.grid.counts: "),
-        (lambda cfg: cfg["initial"].update(S=None), "initial: "),
-        (lambda cfg: cfg["control"].update(record_every="x"), "control: "),
+        (lambda cfg: cfg["initial"].update(S=None), "initial.S: "),
+        (lambda cfg: cfg["control"].update(record_every="x"),
+         "control.record_every: "),
         (lambda cfg: cfg.update(kernel=[]), "kernel: "),
         (lambda cfg: cfg["rates"].update(mortality=0.3), "rates.mortality: "),
         (lambda cfg: cfg["control"].update(dtt=0.1), "control.dtt: unknown key"),
@@ -428,6 +465,36 @@ class TestConfigErrors:
         assert err["type"] == "ConfigError"
         assert err["exit_code"] == 2
         assert err["message"].startswith(where)
+
+    @pytest.mark.parametrize("key", [
+        "rates.inflow", "rates.dilution", "initial.S", "control.dt",
+        "control.t_end", "control.tolerance", "control.record_every",
+        "control.picard_tol", "control.nodes", "control.max_iter", "kernel.width",
+    ])
+    def test_ill_typed_scalar_names_its_key(self, tmp_path, capsys, key):
+        cfg = washout_cfg()
+        cfg["kernel"] = {"family": "gaussian", "width": 0.5}
+        cfg["control"]["t_end"] = 0.01
+        bad = json.loads(json.dumps(cfg))
+        section, name = key.split(".")
+        bad[section][name] = "x"
+        code = main(["simulate", "--scenario", str(write_cfg(tmp_path, bad)),
+                     "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith(f"{key}: ")
+        assert "'x'" in err["message"]
+
+        cfg["sweep"] = {key: ["x"]}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg, "sweep.json")),
+                     "--out", str(out)]) == 2
+        row = (out / "summary.csv").read_text().splitlines()[1]
+        assert row.split(",")[2] == "validation-error"
+        assert f'"{key}: ' in row
 
     @pytest.mark.parametrize("weights", [[[0, "x"]], 3, [[0]]])
     def test_bad_measure_file_exits_2(self, tmp_path, capsys, weights):

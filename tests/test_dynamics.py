@@ -8,10 +8,9 @@ from crflow.dynamics import (
     StepControl,
     SystemState,
     _clamp_weights,
+    _make_rhs,
     integrate,
     picard_solve,
-    semiflow,
-    vector_field,
 )
 from crflow.errors import ConfigError, NumericalError, PositivityError
 from crflow.kernel import (
@@ -24,6 +23,7 @@ from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
 from crflow.space import build_grid
 
 from conftest import random_admissible_scenario
+from oracles import reference_integrate
 
 
 def washout_setup():
@@ -52,40 +52,38 @@ def single_strain(b=1.0, a=1.0, d0=0.3, S0=1.0, m0=0.5):
 
 
 class TestVectorField:
+    """The right-hand side (dS, dw) that integrate steps."""
+
     def test_washout_field(self):
-        sp, rates, K, _ = washout_setup()
-        state = SystemState(0.25, DiscreteMeasure(sp, np.zeros(1)))
-        dS, dmu = vector_field(state, rates, K)
+        _, rates, K, _ = washout_setup()
+        dS, dw = _make_rhs(rates, K)(0.25, np.zeros(1))
         assert dS == pytest.approx(1.0 - 0.25)
-        assert np.all(dmu.weights == 0.0)
+        assert np.all(dw == 0.0)
 
     def test_equilibrium_substrate_no_population(self):
-        sp, rates, K, _ = washout_setup()
-        state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
-        dS, dmu = vector_field(state, rates, K)
+        _, rates, K, _ = washout_setup()
+        dS, dw = _make_rhs(rates, K)(1.0, np.zeros(1))
         assert dS == 0.0
-        assert np.all(dmu.weights == 0.0)
+        assert np.all(dw == 0.0)
 
     def test_breakeven_population_is_stationary(self):
         # monod b = a = 1, d0 = 0.3: B(S) = D at S = 0.3/0.7 = 3/7
-        sp, rates, K, _ = single_strain()
-        S_star = 3.0 / 7.0
-        state = SystemState(S_star, DiscreteMeasure(sp, np.array([0.8])))
-        _, dmu = vector_field(state, rates, K)
-        assert dmu.weights[0] == pytest.approx(0.0, abs=1e-15)
+        _, rates, K, _ = single_strain()
+        _, dw = _make_rhs(rates, K)(3.0 / 7.0, np.array([0.8]))
+        assert dw[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_consumption_lowers_substrate(self):
-        sp, rates, K, _ = single_strain()
-        state = SystemState(1.0, DiscreteMeasure(sp, np.array([2.0])))
-        dS, _ = vector_field(state, rates, K)
+        _, rates, K, _ = single_strain()
+        dS, _ = _make_rhs(rates, K)(1.0, np.array([2.0]))
         # inflow 1, dilution*S = 1, consumption 0.5*2 = 1
         assert dS == pytest.approx(-1.0)
 
     def test_space_mismatch_rejected(self):
-        sp, rates, K, state0 = single_strain()
+        # integrate checks that the kernel lives on the state's space
+        _, rates, _, state0 = single_strain()
         other = build_grid(1, [(0.0, 1.0)], [2])
-        with pytest.raises(ConfigError):
-            vector_field(state0, rates, pure_selection_kernel(other))
+        with pytest.raises(ConfigError, match="different spaces"):
+            integrate(state0, 1.0, StepControl(), rates, pure_selection_kernel(other))
 
 
 class TestStepRK4:
@@ -198,17 +196,18 @@ class TestIntegrate:
 class TestSemiflow:
     def test_time_zero_is_identity(self):
         _, rates, K, state0 = single_strain()
-        out = semiflow(0.0, state0, rates, K)
-        assert out is state0
+        out = integrate(state0, 0.0, StepControl(), rates, K).endpoint()
+        assert out.S == state0.S
+        assert np.array_equal(out.mu.weights, state0.mu.weights)
 
     def test_composition_law(self, rng):
         control = StepControl(dt=1e-3)
         for _ in range(3):
             sc = random_admissible_scenario(rng, max_atoms=6)
             rates, K = sc["rates"], sc["kernel"]
-            direct = semiflow(2.0, sc["state0"], rates, K, control)
-            mid = semiflow(0.75, sc["state0"], rates, K, control)
-            relay = semiflow(1.25, mid, rates, K, control)
+            direct = integrate(sc["state0"], 2.0, control, rates, K).endpoint()
+            mid = integrate(sc["state0"], 0.75, control, rates, K).endpoint()
+            relay = integrate(mid, 1.25, control, rates, K).endpoint()
             gap = abs(direct.S - relay.S) + flat_distance(direct.mu, relay.mu)
             assert gap <= 1e-6
 
@@ -221,8 +220,8 @@ class TestSemiflow:
             state0.S + eps, DiscreteMeasure(sp, state0.mu.weights + eps)
         )
         control = StepControl(dt=1e-3)
-        a = semiflow(1.0, state0, rates, K, control)
-        b = semiflow(1.0, pert, rates, K, control)
+        a = integrate(state0, 1.0, control, rates, K).endpoint()
+        b = integrate(pert, 1.0, control, rates, K).endpoint()
         gap0 = eps + flat_distance(state0.mu, pert.mu)
         gap1 = abs(a.S - b.S) + flat_distance(a.mu, b.mu)
         assert gap1 <= 100.0 * gap0
@@ -230,7 +229,7 @@ class TestSemiflow:
     def test_negative_time_rejected(self):
         _, rates, K, state0 = single_strain()
         with pytest.raises(ConfigError):
-            semiflow(-1.0, state0, rates, K)
+            integrate(state0, -1.0, StepControl(), rates, K)
 
 
 class TestPicard:
@@ -295,11 +294,11 @@ def test_mass_bound_along_trajectory(rng):
     assert traj.mass().max() <= bound + 1e-6
 
 
-def reference_integrate(state0, t_end, control, rates, K):
-    """integrate() redone by hand, every rate evaluated through np.array([S]).
+def array_rate_rhs(rates, K):
+    """The right-hand side with every rate evaluated through np.array([S]).
 
-    Records every accepted step. The array path of the rate methods is the
-    reference for their scalar-substrate path.
+    The array path of the rate methods is the reference for their
+    scalar-substrate path.
     """
     KT = np.ascontiguousarray(K.rows.T)
 
@@ -310,48 +309,7 @@ def reference_integrate(state0, t_end, control, rates, K):
         dS = rates.inflow - rates.dilution * S - float(np.dot(B, w))
         return dS, KT @ (B * w) - Dm * w
 
-    def rk4(S, w, h):
-        k1S, k1w = rhs(S, w)
-        k2S, k2w = rhs(S + 0.5 * h * k1S, w + 0.5 * h * k1w)
-        k3S, k3w = rhs(S + 0.5 * h * k2S, w + 0.5 * h * k2w)
-        k4S, k4w = rhs(S + h * k3S, w + h * k3w)
-        return (S + (h / 6.0) * (k1S + 2.0 * k2S + 2.0 * k3S + k4S),
-                w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
-
-    def accept(S, w, t, h):
-        assert math.isfinite(S) and np.all(np.isfinite(w)), (t, h)
-        assert w.min() > -1e-9
-        w = np.where((w < 0.0) & (w > -1e-9), 0.0, w)
-        times.append(t)
-        S_hist.append(S)
-        w_hist.append(w)
-        return w
-
-    S, w = float(state0.S), state0.mu.weights.copy()
-    times, S_hist, w_hist = [0.0], [S], [w]
-    dt = control.dt
-    if control.method == "rk4":
-        n_full = int(math.floor(t_end / dt + 1e-9))
-        for i in range(n_full):
-            S, w = rk4(S, w, dt)
-            w = accept(S, w, (i + 1) * dt, dt)
-        rem = t_end - n_full * dt
-        if rem > 1e-12:
-            S, w = rk4(S, w, rem)
-            accept(S, w, t_end, rem)
-    else:
-        t = 0.0
-        while t < t_end - 1e-13:
-            dt = min(dt, t_end - t)
-            S1, w1 = rk4(S, w, dt)
-            S2, w2 = rk4(*rk4(S, w, 0.5 * dt), 0.5 * dt)
-            err = (abs(S2 - S1) + float(np.abs(w2 - w1).max())) / 15.0
-            if err <= control.tolerance:
-                t += dt
-                S = S2
-                w = accept(S2, w2, t, dt)
-            dt *= min(5.0, max(0.2, 0.9 * (control.tolerance / max(err, 1e-300)) ** 0.2))
-    return np.array(times), np.array(S_hist), np.array(w_hist)
+    return rhs
 
 
 def mutation_setup():
@@ -391,7 +349,8 @@ class TestBitIdentity:
     def test_matches_array_rate_reference(self, setup, control):
         rates, K, state0 = setup()
         traj = integrate(state0, control.t_end, control, rates, K)
-        times, S, W = reference_integrate(state0, control.t_end, control, rates, K)
+        times, S, W = reference_integrate(array_rate_rhs(rates, K), state0,
+                                          control.t_end, control)
         assert len(traj) > 20
         assert np.array_equal(traj.times.view(np.uint64), times.view(np.uint64))
         assert np.array_equal(traj.S.view(np.uint64), S.view(np.uint64))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crflow.errors import ConfigError
-from crflow.space import StrategySpace, build_grid, diameter, euclidean_metric
+from crflow.space import StrategySpace, build_grid, euclidean_metric
 
 from conftest import random_space
 
@@ -10,25 +10,25 @@ from conftest import random_space
 def test_uniform_line_grid():
     sp = build_grid(1, [(0.0, 1.0)], [3])
     assert np.allclose(sp.points.ravel(), [0.0, 0.5, 1.0])
-    assert sp.distance(0, 2) == 1.0
+    assert sp.metric[0, 2] == 1.0
 
 
 def test_degenerate_single_point():
     sp = build_grid(1, [(0.0, 0.0)], [1])
     assert sp.size == 1
     assert sp.metric[0, 0] == 0.0
-    assert diameter(sp) == 0.0
+    assert sp.metric.max() == 0.0
 
 
 def test_square_lattice_distances():
     sp = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [2, 2])
     assert sp.size == 4
-    assert diameter(sp) == pytest.approx(np.sqrt(2.0))
+    assert sp.metric.max() == pytest.approx(np.sqrt(2.0))
 
 
 def test_line_endpoints_diameter():
     sp = build_grid(1, [(0.0, 1.0)], [3])
-    assert diameter(sp) == 1.0
+    assert sp.metric.max() == 1.0
 
 
 def test_invalid_configurations():
@@ -81,7 +81,7 @@ def test_custom_metric_accepted():
     # non-Euclidean but valid metric
     m = np.array([[0.0, 2.0], [2.0, 0.0]])
     sp = StrategySpace(np.array([[0.0], [1.0]]), m)
-    assert diameter(sp) == 2.0
+    assert sp.metric.max() == 2.0
 
 
 def test_euclidean_metric_matches_norm(rng):
