@@ -89,12 +89,7 @@ def run_checks(sc: Scenario, tol: float):
 
     The scenario runs with fixed-step RK4 at its own dt, recording every step.
     """
-    control = StepControl(
-        method="rk4",
-        dt=sc.control.dt,
-        t_end=sc.control.t_end,
-        record_every=1,
-    )
+    control = dataclasses.replace(sc.control, method="rk4", record_every=1)
     traj, rep = run(dataclasses.replace(sc, control=control))
     results = []
 
@@ -234,9 +229,12 @@ def _sweep_child(task):
 def cmd_sweep(args) -> int:
     template = load_config(args.scenario)
     sweep_spec = template.pop("sweep", None)
-    if not sweep_spec:
-        raise ConfigError("sweep template needs a 'sweep' section")
+    if not sweep_spec or not isinstance(sweep_spec, dict):
+        raise ConfigError("sweep template needs a 'sweep' object")
     names = sorted(sweep_spec)
+    for name in names:       # checked before any child runs
+        if not isinstance(sweep_spec[name], list) or not sweep_spec[name]:
+            raise ConfigError(f"sweep.{name}: expected a non-empty list of values")
     grids = [sweep_spec[name] for name in names]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -66,7 +66,7 @@ class StochasticityReport:
     messages: tuple
 
 
-def validate_stochastic(rows, space: StrategySpace | None = None) -> StochasticityReport:
+def validate_stochastic(rows) -> StochasticityReport:
     """Report negative entries and row-sum deviations beyond tolerance."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     messages = []
@@ -79,10 +79,6 @@ def validate_stochastic(rows, space: StrategySpace | None = None) -> Stochastici
     err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
     for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
         messages.append(f"row {int(i)} sums to {float(sums[i])!r}")
-    if space is not None and rows.shape != (space.size, space.size):
-        messages.append(
-            f"kernel shape {rows.shape} does not match {space.size} atoms"
-        )
     ok = not messages
     return StochasticityReport(
         ok=ok,

@@ -2,9 +2,10 @@
 
 A scenario is a single JSON document declaring the strategy space, the
 mutation kernel, the vital rates, the initial state, and integrator
-control. Every output file embeds the content hash of the effective
-configuration, so reruns are byte-for-byte reproducible. `run` integrates
-a built scenario with the method its control names.
+control. `_SCHEMA` declares every key of every scenario object and `_read`
+checks a document against it. Every output file embeds the content hash of
+the document as written, so reruns are byte-for-byte reproducible. `run`
+integrates a built scenario with the method its control names.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +27,11 @@ from crflow.dynamics import (
     picard_solve,
 )
 from crflow.errors import ConfigError, ValidationError
-from crflow.kernel import (
-    MutationKernel,
-    local_mutation_kernel,
-    pure_selection_kernel,
-    validate_stochastic,
-)
+from crflow.kernel import MutationKernel, local_mutation_kernel, pure_selection_kernel
 from crflow.measure import DiscreteMeasure
 from crflow.rates import (
+    MORTALITY_FAMILIES,
+    UPTAKE_FAMILIES,
     MortalitySpec,
     UptakeSpec,
     VitalRates,
@@ -45,65 +42,119 @@ from crflow.rates import (
 from crflow.space import StrategySpace, build_grid, euclidean_metric
 
 
-def canonical_json(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-
-
 def scenario_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@contextmanager
-def _reading(path: str):
-    """Report a missing or ill-typed entry under `path` as a ConfigError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: required key is missing") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+# Readers: each converts one JSON value or raises TypeError or ValueError.
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
 
 
-_REQUIRED = object()
+def _real_or_null(value) -> float | None:
+    return None if value is None else _real(value)
 
 
-def _number(kind, spec: dict, key: str, path: str, default=_REQUIRED):
-    """kind(spec[key]), or kind(default) when the key is absent and a default
-    is given. A missing or ill-typed value is a ConfigError naming path.key.
-    """
-    try:
-        return kind(spec[key] if default is _REQUIRED else spec.get(key, default))
-    except KeyError:
-        raise ConfigError(f"{path}.{key}: required key is missing") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from None
+def _integer(least=None):
+    """Reader of an integral number >= least: 2.0 reads as 2; 2.5 and true fail."""
+    def read(value) -> int:
+        if isinstance(value, bool) or isinstance(value, float) and value % 1:
+            raise TypeError(f"expected an integer, got {json.dumps(value)}")
+        if least is not None and int(value) < least:
+            raise ValueError(f"expected an integer >= {least}, got {int(value)}")
+        return int(value)
+    return read
 
 
-# The keys each kind of scenario object may hold; any other is a ConfigError.
-_KEYS = {
-    "scenario": {"space", "kernel", "rates", "initial", "control", "truncation",
-                 "seed", "sweep", "allow_invalid_rates"},
-    "space": {"grid", "points", "metric"},
-    "grid": {"dim", "bounds", "counts"},
-    "kernel": {"family", "width", "matrix", "renormalize"},
-    "rates": {"inflow", "dilution", "uptake", "mortality"},
-    "uptake": {"family", "b", "a"},
-    "mortality": {"family", "d0", "c"},
-    "coefficient": {"affine"},
-    "affine": {"const", "slope"},
-    "initial": {"S", "weights"},
-    "control": {"method", "dt", "t_end", "tolerance", "record_every",
-                "lambda", "picard_tol", "nodes", "max_iter"},
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _given(value):
+    """Passed on as written; its builder checks it."""
+    return value
+
+
+def _choice(*names):
+    def read(value) -> str:
+        if value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, "
+                             f"got {json.dumps(value)}")
+        return value
+    return read
+
+
+# kind -> (required keys, {key: reader}); a reader is a function of the JSON
+# value or the kind of a nested object. A key left out gets no value here:
+# its default is the one of the function that takes it.
+_SCHEMA = {
+    "scenario": (("space", "kernel", "rates", "initial", "control"), {
+        "space": "space", "kernel": "kernel", "rates": "rates",
+        "initial": "initial", "control": "control", "truncation": _real_or_null,
+        "seed": _integer(), "sweep": _given, "allow_invalid_rates": _flag}),
+    "space": ((), {"grid": "grid", "points": _array, "metric": _array}),
+    "grid": (("bounds", "counts"), {"dim": _integer(1), "bounds": _given,
+                                   "counts": _given}),
+    "kernel": ((), {"family": _choice("pure_selection", "gaussian"), "width": _real,
+                    "matrix": _array, "renormalize": _flag}),
+    "rates": (("inflow", "dilution", "uptake", "mortality"), {
+        "inflow": _real, "dilution": _real, "uptake": "uptake",
+        "mortality": "mortality"}),
+    "uptake": (("family", "b"), {"family": _choice(*UPTAKE_FAMILIES),
+                                 "b": _given, "a": _given}),
+    "mortality": (("family", "d0"), {"family": _choice(*MORTALITY_FAMILIES),
+                                     "d0": _given, "c": _given}),
+    "coefficient": ((), {"affine": "affine"}),
+    "affine": ((), {"const": _real, "slope": _array}),
+    "initial": (("S", "weights"), {"S": _real, "weights": _array}),
+    "control": (("t_end",), {
+        "method": _choice("rk4", "adaptive", "picard"), "dt": _real,
+        "t_end": _real, "tolerance": _real, "record_every": _integer(1),
+        "lambda": _real_or_null, "picard_tol": _real, "nodes": _integer(1),
+        "max_iter": _integer()}),
 }
 
+# control keys that are picard_solve keywords, and the keyword of each
+_PICARD_KEYS = {"lambda": "lam", "picard_tol": "tol", "nodes": "nodes",
+                "max_iter": "max_iter"}
 
-def _object(node, path: str, kind: str) -> dict:
+
+def _read(node, path: str, kind: str) -> dict:
+    """The keys of a scenario object of `kind`, converted by their readers.
+
+    An unknown, missing or ill-typed key is a ConfigError whose message
+    starts with its key path; path is "" for the document itself.
+    """
     if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ConfigError(f"{path or kind}: expected a JSON object")
+    required, readers = _SCHEMA[kind]
     for key in node:
-        if key not in _KEYS[kind]:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    return node
+        if key not in readers:
+            raise ConfigError(f"{path or kind}.{key}: unknown key")
+    out = {}
+    for key, reader in readers.items():
+        where = f"{path}.{key}" if path else key
+        if key not in node:
+            if key in required:
+                raise ConfigError(f"{where}: required key is missing")
+        elif isinstance(reader, str):
+            out[key] = _read(node[key], where, reader)
+        else:
+            try:
+                out[key] = reader(node[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+    return out
 
 
 class _NonFinite:
@@ -160,39 +211,34 @@ def load_config(path) -> dict:
 
 
 def build_space(spec: dict, path: str = "space") -> StrategySpace:
-    spec = _object(spec, path, "space")
+    """The strategy space of a `space` object as `_read` returns it."""
     if "grid" in spec:
-        g = _object(spec["grid"], f"{path}.grid", "grid")
-        with _reading(f"{path}.grid"):
-            bounds = g["bounds"]
-            counts = g["counts"]
-            dim = g.get("dim", len(bounds))
-            return build_grid(dim, bounds, counts)
+        g = spec["grid"]
+        try:
+            return build_grid(g.get("dim", len(g["bounds"])), g["bounds"], g["counts"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.grid: {exc}") from None
     if "points" in spec:
-        with _reading(path):
-            points = np.atleast_2d(np.asarray(spec["points"], dtype=float))
-            if "metric" in spec:
-                metric = np.asarray(spec["metric"], dtype=float)
-            else:
-                metric = euclidean_metric(points)
-            return StrategySpace(points=points, metric=metric)
-    raise ConfigError("space spec needs either 'grid' or 'points'")
+        points = spec["points"]
+        metric = spec["metric"] if "metric" in spec else euclidean_metric(points)
+        return StrategySpace(points=points, metric=metric)
+    raise ConfigError(f"{path}: needs either 'grid' or 'points'")
 
 
 def _resolve_coeff(value, space: StrategySpace, name: str):
     """Scalar, per-atom list, or affine form of the atom coordinates."""
     if isinstance(value, dict):
-        if "affine" not in _object(value, name, "coefficient"):
+        aff = _read(value, name, "coefficient").get("affine")
+        if aff is None:
             raise ConfigError(f"{name}: unknown coefficient form {value}")
-        aff = _object(value["affine"], f"{name}.affine", "affine")
-        with _reading(f"{name}.affine"):
-            const = float(aff.get("const", 0.0))
-            slope = np.asarray(aff.get("slope", [0.0] * space.dim), dtype=float)
+        slope = aff.get("slope", np.zeros(space.dim))
         if slope.shape != (space.dim,):
             raise ConfigError(f"{name}: slope must have one entry per axis")
-        return const + space.points @ slope
-    with _reading(name):
+        return aff.get("const", 0.0) + space.points @ slope
+    try:
         arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
     if arr.ndim == 0:
         return float(arr)
     if arr.shape != (space.size,):
@@ -201,63 +247,35 @@ def _resolve_coeff(value, space: StrategySpace, name: str):
 
 
 def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
-    renorm = bool(spec.get("renormalize", False))
+    """The mutation kernel of a `kernel` object as `_read` returns it."""
     if "matrix" in spec:
-        with _reading("kernel.matrix"):
-            rows = np.asarray(spec["matrix"], dtype=float)
-        report = validate_stochastic(rows, space)
-        if not report.ok and not renorm:
-            raise ValidationError(
-                "kernel matrix is not row-stochastic: "
-                + "; ".join(report.messages)
-            )
-        return MutationKernel(space, rows, renormalize=renorm)
+        try:
+            return MutationKernel(space, spec["matrix"], spec.get("renormalize", False))
+        except ConfigError as exc:
+            raise ConfigError(f"kernel.matrix: {exc}") from None
     family = spec.get("family")
     if family == "pure_selection":
         return pure_selection_kernel(space)
     if family == "gaussian":
-        return local_mutation_kernel(space, _number(float, spec, "width", "kernel"))
-    raise ConfigError(f"unknown kernel family {family!r}")
+        if "width" not in spec:
+            raise ConfigError("kernel.width: required key is missing")
+        return local_mutation_kernel(space, spec["width"])
+    raise ConfigError("kernel: needs either 'matrix' or 'family'")
 
 
 def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
-    with _reading("rates"):
-        up = _object(spec["uptake"], "rates.uptake", "uptake")
-        mo = _object(spec["mortality"], "rates.mortality", "mortality")
-    inflow = _number(float, spec, "inflow", "rates")
-    dilution = _number(float, spec, "dilution", "rates")
-    with _reading("rates.uptake"):
-        uptake = UptakeSpec.build(
-            up["family"],
-            space.size,
-            _resolve_coeff(up["b"], space, "rates.uptake.b"),
-            a=_resolve_coeff(up["a"], space, "rates.uptake.a") if "a" in up else None,
-        )
-    with _reading("rates.mortality"):
-        mortality = MortalitySpec.build(
-            mo["family"],
-            space.size,
-            _resolve_coeff(mo["d0"], space, "rates.mortality.d0"),
-            c=_resolve_coeff(mo["c"], space, "rates.mortality.c") if "c" in mo else None,
-        )
+    """The vital rates of a `rates` object as `_read` returns it."""
+
+    def family(section: str, build):
+        coeffs = {key: _resolve_coeff(value, space, f"rates.{section}.{key}")
+                  for key, value in spec[section].items() if key != "family"}
+        return build(spec[section]["family"], space.size, **coeffs)
+
     return VitalRates(
-        inflow=inflow,
-        dilution=dilution,
-        uptake=uptake,
-        mortality=mortality,
-    )
-
-
-def build_control(spec: dict) -> StepControl:
-    method = spec.get("method", "rk4")
-    if method not in ("rk4", "adaptive", "picard"):
-        raise ConfigError(f"unknown integrator {method!r}")
-    return StepControl(
-        method=method,
-        dt=_number(float, spec, "dt", "control", 1e-3),
-        t_end=_number(float, spec, "t_end", "control"),
-        tolerance=_number(float, spec, "tolerance", "control", 1e-8),
-        record_every=_number(int, spec, "record_every", "control", 1),
+        inflow=spec["inflow"],
+        dilution=spec["dilution"],
+        uptake=family("uptake", UptakeSpec.build),
+        mortality=family("mortality", MortalitySpec.build),
     )
 
 
@@ -281,61 +299,46 @@ def build_scenario(cfg: dict) -> Scenario:
     """Validate a configuration dict and assemble the run inputs.
 
     Raises ConfigError for structural problems and ValidationError when the
-    kernel or the rate assumptions fail their checks (override the latter
-    with "allow_invalid_rates": true). The integer "seed" is a label: it
-    enters the hash and changes no computed value.
+    rate assumptions fail their checks (override with
+    "allow_invalid_rates": true). The integer "seed" is a label: it enters
+    the hash and changes no computed value.
     """
-    _object(cfg, "scenario", "scenario")
-    for key in ("space", "kernel", "rates", "initial", "control"):
-        if key not in cfg:
-            raise ConfigError(f"scenario missing section {key!r}")
-        _object(cfg[key], key, key)
-    space = build_space(cfg["space"])
-    kernel = build_kernel(cfg["kernel"], space)
-    rates = build_rates(cfg["rates"], space)
+    doc = _read(cfg, "", "scenario")
+    space = build_space(doc["space"])
+    kernel = build_kernel(doc["kernel"], space)
+    rates = build_rates(doc["rates"], space)
 
-    init = cfg["initial"]
-    S0 = _number(float, init, "S", "initial")
-    with _reading("initial"):
-        weights = np.asarray(init["weights"], dtype=float)
+    S0, weights = doc["initial"]["S"], doc["initial"]["weights"]
     if weights.shape != (space.size,):
         raise ConfigError(
-            f"initial weights: expected {space.size} values, got {weights.shape}"
+            f"initial.weights: expected {space.size} values, got {weights.shape}"
         )
     if S0 < 0 or np.any(weights < 0):
         raise ConfigError("initial state must lie in the nonnegative cone")
     state0 = SystemState(S0, DiscreteMeasure(space, weights))
 
-    truncation = cfg.get("truncation")
+    truncation = doc.get("truncation")
     if truncation is None:
-        truncation = default_truncation_level(rates, S0, float(weights.sum()))
-    with _reading("truncation"):
-        truncation = float(truncation)
+        truncation = float(default_truncation_level(rates, S0, float(weights.sum())))
     rates = truncate(rates, truncation)
 
     report = validate_assumptions(rates, space, truncation)
-    if not report.ok and not cfg.get("allow_invalid_rates", False):
+    if not report.ok and not doc.get("allow_invalid_rates", False):
         raise ValidationError(
             "rate assumptions failed: " + "; ".join(report.messages)
         )
 
-    control_spec = cfg["control"]
-    control = build_control(control_spec)
-    picard_options = {
-        "lam": control_spec.get("lambda"),
-        "tol": _number(float, control_spec, "picard_tol", "control", 1e-12),
-        "nodes": _number(int, control_spec, "nodes", "control", 512),
-        "max_iter": _number(int, control_spec, "max_iter", "control", 200),
-    }
-    with _reading("seed"):
-        int(cfg.get("seed", 0))      # type check only
-
+    control = doc["control"]
     return Scenario(
         kernel=kernel,
         rates=rates,
         state0=state0,
-        control=control,
-        picard_options=picard_options,
+        control=StepControl(
+            **{k: v for k, v in control.items() if k not in _PICARD_KEYS}
+        ),
+        picard_options={
+            _PICARD_KEYS[k]: v for k, v in control.items() if k in _PICARD_KEYS
+        },
         hash=scenario_hash(cfg),
     )
 
@@ -363,9 +366,12 @@ def load_measure_file(path):
     doc = _load_json(path, f"{path}: ")
     if not isinstance(doc, dict) or "space" not in doc or "weights" not in doc:
         raise ConfigError(f"{path}: measure file needs 'space' and 'weights'")
-    space = build_space(doc["space"], f"{path}: space")
-    with _reading(f"{path}: weights"):
+    where = f"{path}: space"
+    space = build_space(_read(doc["space"], where, "space"), where)
+    try:
         entries = [(int(idx), float(val)) for idx, val in doc["weights"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: weights: {exc}") from None
     w = np.zeros(space.size)
     for idx, val in entries:
         if not 0 <= idx < space.size:

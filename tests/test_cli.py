@@ -447,6 +447,24 @@ class TestConfigErrors:
         (lambda cfg: cfg["rates"]["uptake"].update(b={}),
          "rates.uptake.b: unknown coefficient form"),
         (lambda cfg: cfg.update(seed="x"), "seed: "),
+        (lambda cfg: cfg["control"].update(method="picard", **{"lambda": "x"}),
+         "control.lambda: "),
+        (lambda cfg: cfg["control"].update(method="picard", nodes=0),
+         "control.nodes: "),
+        (lambda cfg: cfg["control"].update(record_every=0),
+         "control.record_every: expected an integer >= 1, got 0"),
+        (lambda cfg: cfg["control"].update(record_every=2.5),
+         "control.record_every: expected an integer, got 2.5"),
+        (lambda cfg: cfg["control"].update(dt=True), "control.dt: "),
+        (lambda cfg: cfg["control"].update(method=["rk4"]), "control.method: "),
+        (lambda cfg: cfg["initial"].update(weights="x"), "initial.weights: "),
+        (lambda cfg: cfg.update(kernel={"family": "gauss"}), "kernel.family: "),
+        (lambda cfg: cfg.update(kernel={"matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                        "renormalize": "false"}),
+         "kernel.renormalize: "),
+        (lambda cfg: cfg.update(kernel={"matrix": [[0.6, 0.5], [0.5, 0.5]]}),
+         "kernel.matrix: row 0 sums to 1.1"),
+        (lambda cfg: cfg.update(allow_invalid_rates="false"), "allow_invalid_rates: "),
     ])
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_exits_2_with_one_json_error(self, tmp_path, capsys, edit, where,
@@ -558,6 +576,22 @@ class TestConfigErrors:
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["ok", "validation-error"]
         assert "rates.uptake.b: " in rows[1]
+
+    @pytest.mark.parametrize("value", [0.5, []])
+    def test_sweep_value_that_is_not_a_list_exits_2_before_any_run(
+            self, tmp_path, capsys, value):
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["sweep"] = {"rates.dilution": [1.0], "rates.inflow": value}
+        out = tmp_path / "out"
+        code = main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith("sweep.rates.inflow: ")
+        assert not out.exists()
 
     def test_misspelled_sweep_path_fails_every_row(self, tmp_path):
         cfg = load_config(SCENARIOS / "sweep_inflow.json")
