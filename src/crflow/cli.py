@@ -1,7 +1,8 @@
 """Command-line interface: simulate, check, flatnorm, sweep.
 
-Exit codes: 0 success, 2 validation/configuration, 3 numerical failure,
-4 I/O. Failures emit a machine-readable JSON object on stdout. All outputs
+Exit codes: 0 success, 1 internal error (or a failed check), 2
+validation/configuration, 3 numerical failure, 4 I/O. Failures emit a
+machine-readable JSON object on stdout. All outputs
 embed the scenario content hash and the package version; reruns with the
 same inputs are byte-for-byte identical.
 """
@@ -32,9 +33,24 @@ from crflow.scenario import (
 )
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# (class, sweep row status, exit code) of a failure; the first match wins
+_FAILURES = (
+    (NumericalError, "numerical-error", EXIT_NUMERICAL),
+    (CrflowError, "validation-error", EXIT_VALIDATION),
+    (json.JSONDecodeError, "validation-error", EXIT_VALIDATION),
+    (OSError, "io-error", EXIT_IO),
+    (Exception, "internal-error", EXIT_INTERNAL),
+)
+
+
+def _failure(exc: Exception) -> tuple[str, int]:
+    return next((status, code) for cls, status, code in _FAILURES
+                if isinstance(exc, cls))
 
 
 def _fmt17(x: float) -> str:
@@ -60,10 +76,11 @@ def write_json(path: Path, payload: dict) -> None:
     )
 
 
-def cmd_simulate(args) -> int:
-    sc = build_scenario(load_config(args.scenario))
+def _write_run(cfg: dict, out: Path) -> tuple:
+    """Run a scenario document and write its directory, for `simulate` and
+    each sweep run alike; returns the trajectory and its DiagnosticsReport."""
+    sc = build_scenario(cfg)
     traj, report = run(sc)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj)
     endpoint = traj.endpoint()
@@ -81,6 +98,11 @@ def cmd_simulate(args) -> int:
             k: v for k, v in traj.metadata.items() if not isinstance(v, np.ndarray)
         },
     })
+    return traj, report
+
+
+def cmd_simulate(args) -> int:
+    _write_run(load_config(args.scenario), Path(args.out))
     return EXIT_OK
 
 
@@ -104,6 +126,7 @@ def run_checks(sc: Scenario, tol: float):
     over = rep.max_mass_observed - rep.mass_bound
     results.append(("dissipativity", over <= 1e-6, over))
 
+    direct = traj.endpoint()
     n_steps = len(traj) - 1
     if n_steps >= 2:
         split = (n_steps // 2) * sc.control.dt
@@ -113,20 +136,18 @@ def run_checks(sc: Scenario, tol: float):
         composed = integrate(
             mid, control.t_end - split, control, sc.rates, sc.kernel
         ).endpoint()
-        direct = traj.endpoint()
         res = abs(direct.S - composed.S) + flat_distance(direct.mu, composed.mu)
         results.append(("semiflow_law", res <= tol, res))
 
     fine = StepControl(method="rk4", dt=0.5 * sc.control.dt, t_end=control.t_end)
     refined = integrate(sc.state0, control.t_end, fine, sc.rates, sc.kernel).endpoint()
-    direct = traj.endpoint()
     acc = abs(direct.S - refined.S) + flat_distance(direct.mu, refined.mu)
     results.append(("step_accuracy", acc <= tol, acc))
 
     T = min(1.0, control.t_end)
     pic_control = StepControl(method="rk4", dt=1e-3, t_end=T)
     rk_end = integrate(sc.state0, T, pic_control, sc.rates, sc.kernel).endpoint()
-    pic = picard_solve(sc.state0, T, sc.rates, sc.kernel, **sc.picard_options)
+    pic = picard_solve(sc.state0, T, sc.rates, sc.kernel, sc.control.lam)
     pic_end = pic.endpoint()
     gap = abs(rk_end.S - pic_end.S) + flat_distance(rk_end.mu, pic_end.mu)
     ratio = pic.metadata["contraction_ratio"]
@@ -195,19 +216,9 @@ def _sweep_child(task):
     index, cfg, out_dir = task
     row = {"run": index, "status": "ok", "error": "", "exit_code": EXIT_OK}
     try:
-        sc = build_scenario(cfg)
-        traj, rep = run(sc)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out / "trajectory.csv", traj)
-        write_json(out / "diagnostics.json", {
-            "scenario_hash": sc.hash,
-            "version": crflow.__version__,
-            "diagnostics": rep.to_dict(),
-        })
-        endpoint_mass = traj.endpoint().total_mass()
+        traj, rep = _write_run(cfg, Path(out_dir))
         row.update({
-            "endpoint_mass": endpoint_mass,
+            "endpoint_mass": traj.endpoint().total_mass(),
             "winner_atom": rep.winner_atom if rep.winner_atom is not None else "",
             "concentration_distance": (
                 rep.concentration_distance
@@ -215,14 +226,10 @@ def _sweep_child(task):
             ),
             "bound_margin": rep.mass_bound - rep.max_mass_observed,
         })
-    except NumericalError as exc:
-        row.update({"status": "numerical-error", "error": str(exc),
-                    "exit_code": EXIT_NUMERICAL})
-    except CrflowError as exc:
-        row.update({"status": "validation-error", "error": str(exc),
-                    "exit_code": EXIT_VALIDATION})
-    except OSError as exc:
-        row.update({"status": "io-error", "error": str(exc), "exit_code": EXIT_IO})
+    except Exception as exc:     # a failed run fails its row, not the sweep
+        status, code = _failure(exc)
+        error = str(exc) if code != EXIT_INTERNAL else f"{type(exc).__name__}: {exc}"
+        row.update({"status": status, "error": error, "exit_code": code})
     return row
 
 
@@ -317,15 +324,10 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except NumericalError as exc:
-        _emit_error(type(exc).__name__, str(exc), EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
-    except (CrflowError, json.JSONDecodeError) as exc:
-        _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        _emit_error("IOError", str(exc), EXIT_IO)
-        return EXIT_IO
+    except Exception as exc:     # every failure is one JSON error, never a traceback
+        _, code = _failure(exc)
+        _emit_error("IOError" if code == EXIT_IO else type(exc).__name__, str(exc), code)
+        return code
 
 
 if __name__ == "__main__":

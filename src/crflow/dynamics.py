@@ -3,8 +3,8 @@
 Two independent integrators are provided: a classical RK4 stepper (fixed
 step by default, step-doubling adaptivity opt-in) and a Picard fixed-point
 solver that iterates the mild-solution integral operator on a discretized
-trajectory under an exponentially weighted sup norm. The Picard route is a
-faithful executable of the existence argument and doubles as a
+trajectory, a contraction in an exponentially weighted sup norm. The Picard
+route is a faithful executable of the existence argument and doubles as a
 cross-validation oracle for the RK4 route.
 """
 
@@ -36,6 +36,9 @@ from crflow.space import StrategySpace
 WEIGHT_CLAMP_TOL = 1e-9
 MIN_ADAPTIVE_STEP = 1e-12
 MAX_ADAPTIVE_STEPS = 50_000_000
+PICARD_TOL = 1e-12          # sup increment between iterates that ends a window
+PICARD_NODES = 512          # trapezoid intervals per window
+PICARD_MAX_ITER = 200       # iterations per window before ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,7 @@ class StepControl:
     t_end: float = 1.0
     tolerance: float = 1e-8      # adaptive local error target
     record_every: int = 1
+    lam: float | None = None     # picard contraction weight; None derives it
 
 
 @dataclass
@@ -250,8 +254,8 @@ def contraction_weight_default(
 
     Twice a crude bound on the integral operator's Lipschitz constant,
     assembled from the sampled sup/Lipschitz norms of the truncated rates
-    in rep, the dilution and the mass bound. Exposed in configuration; any
-    value above the true constant yields a contraction.
+    in rep, the dilution and the mass bound. Any value above the true
+    constant makes the operator a contraction in that norm.
     """
     b_bl = rep.uptake_sup + rep.uptake_lip
     d_bl = rep.mortality_sup + rep.mortality_lip
@@ -274,9 +278,6 @@ def picard_solve(
     rates: VitalRates,
     K: MutationKernel,
     lam: float | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    nodes: int = 512,
 ) -> Trajectory:
     """Fixed-point integration of the mild-solution integral operator.
 
@@ -285,10 +286,15 @@ def picard_solve(
         mu(t) = E(0,t) . mu0 + int_0^t E(s,t) . F21(zeta(s)) ds
     where F11 = inflow - mu[B(S,.)], F21 is the birth measure pushed through
     the kernel, and E(s,t) decays each atom by its accumulated mortality.
-    Time integrals use the composite trapezoid rule on a fixed grid; windows
-    of length at most 1 are chained for longer horizons. Iteration stops when
-    the exponentially weighted sup distance between successive iterates
-    (|dS| plus a total-variation proxy for the flat norm) drops below tol.
+    Time integrals use the composite trapezoid rule on PICARD_NODES
+    intervals; windows of length at most 1 are chained for longer horizons.
+    A window ends when the sup distance between successive iterates (|dS|
+    plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
+
+    lam (None: contraction_weight_default) is not a stop rule but the weight
+    of the norm sup e^(-lam*t)|.| in which the operator contracts; the
+    metadata's contraction_ratio is the largest ratio of successive
+    distances in that norm while they are at least PICARD_TOL.
     """
     if T <= 0:
         raise ConfigError("horizon must be positive")
@@ -310,8 +316,8 @@ def picard_solve(
 
     KT_rows = K.rows  # nu = x @ rows gives nu_j = sum_i x_i rows[i, j]
     inflow, dilution = rates.inflow, rates.dilution
-    h = Tw / nodes
-    tau = np.linspace(0.0, Tw, nodes + 1)
+    h = Tw / PICARD_NODES
+    tau = np.linspace(0.0, Tw, PICARD_NODES + 1)
     decay_weight = np.exp(-lam * tau)
     grow = np.exp(dilution * tau)
     shrink = np.exp(-dilution * tau)
@@ -327,11 +333,10 @@ def picard_solve(
     W0 = state0.mu.weights.copy()
     t_offset = 0.0
     for _ in range(n_windows):
-        S_arr = np.full(nodes + 1, S0)
-        W_arr = np.tile(W0, (nodes + 1, 1))
-        prev_dist = None
-        converged = False
-        for it in range(1, max_iter + 1):
+        S_arr = np.full(PICARD_NODES + 1, S0)
+        W_arr = np.tile(W0, (PICARD_NODES + 1, 1))
+        prev_weighted = None
+        for it in range(1, PICARD_MAX_ITER + 1):
             B = rates.uptake_values(S_arr)          # (m+1, n)
             Dm = rates.mortality_values(S_arr)
             birth = B * W_arr
@@ -340,24 +345,19 @@ def picard_solve(
             S_new = shrink * (S0 + _cumtrapz(grow * F11, h))
             Idm = _cumtrapz(Dm, h)
             W_new = np.exp(-Idm) * (W0 + _cumtrapz(np.exp(Idm) * F21, h))
-            dist = float(
-                np.max(
-                    decay_weight
-                    * (np.abs(S_new - S_arr) + np.abs(W_new - W_arr).sum(axis=1))
-                )
-            )
-            if prev_dist is not None and prev_dist > 0:
-                ratios.append(dist / prev_dist)
-            prev_dist = dist
+            increment = np.abs(S_new - S_arr) + np.abs(W_new - W_arr).sum(axis=1)
+            weighted = float(np.max(decay_weight * increment))
+            if prev_weighted is not None and weighted >= PICARD_TOL:
+                ratios.append(weighted / prev_weighted)
+            prev_weighted = weighted
             S_arr, W_arr = S_new, W_new
-            if dist < tol:
+            if float(np.max(increment)) < PICARD_TOL:
                 iterations.append(it)
-                converged = True
                 break
-        if not converged:
+        else:
             ratio = max(ratios[-5:]) if ratios else float("nan")
             raise ConvergenceError(
-                f"picard iteration did not converge in {max_iter} steps "
+                f"picard iteration did not converge in {PICARD_MAX_ITER} steps "
                 f"(last contraction ratio {ratio!r})"
             )
         W_arr = np.vstack([_clamp_weights(w, clamped) for w in W_arr])
@@ -376,7 +376,7 @@ def picard_solve(
         metadata={
             "integrator": "picard",
             "lambda": lam,
-            "nodes": nodes,
+            "nodes": PICARD_NODES,
             "windows": n_windows,
             "iterations": iterations,
             "contraction_ratio": max(ratios) if ratios else 0.0,

@@ -16,8 +16,9 @@ ROW_SUM_TOL = 1e-12
 class MutationKernel:
     """Row i is the offspring distribution of strategy i over the atoms.
 
-    Rows must be nonnegative and sum to one within ROW_SUM_TOL. Pass
-    renormalize=True to rescale row sums explicitly; it is never silent.
+    Entries must be finite and nonnegative and rows sum to one within
+    ROW_SUM_TOL. Pass renormalize=True to rescale row sums explicitly; it is
+    never silent.
     """
 
     space: StrategySpace
@@ -32,7 +33,8 @@ class MutationKernel:
                 f"kernel shape {rows.shape} does not match {n} atoms"
             )
         report = validate_stochastic(rows)
-        if report.negative_entries or (report.messages and not self.renormalize):
+        if (report.negative_entries or not np.isfinite(report.max_row_sum_error)
+                or report.messages and not self.renormalize):
             raise ConfigError(report.messages[0])
         if self.renormalize:
             sums = rows.sum(axis=1)
@@ -67,9 +69,13 @@ class StochasticityReport:
 
 
 def validate_stochastic(rows) -> StochasticityReport:
-    """Report negative entries and row-sum deviations beyond tolerance."""
+    """Report non-finite and negative entries and row-sum deviations beyond
+    tolerance; max_row_sum_error is not finite when an entry is not."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    messages = []
+    messages = [
+        f"non-finite entry {float(rows[i, j])!r} at ({i}, {j})"
+        for i, j in zip(*np.nonzero(~np.isfinite(rows)))
+    ]
     negs = [
         (int(i), int(j)) for i, j in zip(*np.nonzero(rows < 0))
     ]

@@ -3,9 +3,10 @@
 A scenario is a single JSON document declaring the strategy space, the
 mutation kernel, the vital rates, the initial state, and integrator
 control. `_SCHEMA` declares every key of every scenario object and `_read`
-checks a document against it. Every output file embeds the content hash of
-the document as written, so reruns are byte-for-byte reproducible. `run`
-integrates a built scenario with the method its control names.
+checks a document against it, NaN and infinite numbers included. Every
+output file embeds the content hash of the document as written, so reruns
+are byte-for-byte reproducible. `run` integrates a built scenario with the
+method its control names.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from crflow.rates import (
     truncate,
     validate_assumptions,
 )
-from crflow.space import StrategySpace, build_grid, euclidean_metric
+from crflow.space import StrategySpace, build_grid
 
 
 def scenario_hash(cfg: dict) -> str:
@@ -48,21 +49,30 @@ def scenario_hash(cfg: dict) -> str:
 
 
 # Readers: each converts one JSON value or raises TypeError or ValueError.
+# NaN and infinite numbers fail in every reader of numbers.
 
 def _real(value) -> float:
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {json.dumps(value)}")
+    return value
 
 
-def _real_or_null(value) -> float | None:
-    return None if value is None else _real(value)
+def _real_or_null(least=-math.inf):
+    """Reader of null or a number >= least."""
+    def read(value) -> float | None:
+        if value is not None and _real(value) < least:
+            raise ValueError(f"expected a number >= {least} or null, got {value}")
+        return None if value is None else _real(value)
+    return read
 
 
 def _integer(least=None):
     """Reader of an integral number >= least: 2.0 reads as 2; 2.5 and true fail."""
     def read(value) -> int:
-        if isinstance(value, bool) or isinstance(value, float) and value % 1:
+        if isinstance(value, bool) or isinstance(value, float) and _real(value) % 1:
             raise TypeError(f"expected an integer, got {json.dumps(value)}")
         if least is not None and int(value) < least:
             raise ValueError(f"expected an integer >= {least}, got {int(value)}")
@@ -77,7 +87,20 @@ def _flag(value) -> bool:
 
 
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """Float array. A NaN or infinite entry fails, with the entry's index as
+    the error's second argument: a key path suffix such as "[1]"."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        at = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"non-finite number {json.dumps(float(arr[tuple(at)]))}",
+                         "".join(f"[{i}]" for i in at))
+    return arr
+
+
+def _counts(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {json.dumps(value)}")
+    return [_integer(1)(count) for count in value]
 
 
 def _given(value):
@@ -100,11 +123,11 @@ def _choice(*names):
 _SCHEMA = {
     "scenario": (("space", "kernel", "rates", "initial", "control"), {
         "space": "space", "kernel": "kernel", "rates": "rates",
-        "initial": "initial", "control": "control", "truncation": _real_or_null,
+        "initial": "initial", "control": "control", "truncation": _real_or_null(),
         "seed": _integer(), "sweep": _given, "allow_invalid_rates": _flag}),
     "space": ((), {"grid": "grid", "points": _array, "metric": _array}),
-    "grid": (("bounds", "counts"), {"dim": _integer(1), "bounds": _given,
-                                   "counts": _given}),
+    "grid": (("bounds", "counts"), {"dim": _integer(1), "bounds": _array,
+                                   "counts": _counts}),
     "kernel": ((), {"family": _choice("pure_selection", "gaussian"), "width": _real,
                     "matrix": _array, "renormalize": _flag}),
     "rates": (("inflow", "dilution", "uptake", "mortality"), {
@@ -120,13 +143,21 @@ _SCHEMA = {
     "control": (("t_end",), {
         "method": _choice("rk4", "adaptive", "picard"), "dt": _real,
         "t_end": _real, "tolerance": _real, "record_every": _integer(1),
-        "lambda": _real_or_null, "picard_tol": _real, "nodes": _integer(1),
-        "max_iter": _integer()}),
+        "lambda": _real_or_null(0)}),
 }
 
-# control keys that are picard_solve keywords, and the keyword of each
-_PICARD_KEYS = {"lambda": "lam", "picard_tol": "tol", "nodes": "nodes",
-                "max_iter": "max_iter"}
+
+def _value(value, where: str, reader):
+    """reader(value), or a ConfigError that starts with the key path where.
+
+    A second argument of the reader's error extends the key path.
+    """
+    try:
+        return reader(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if len(exc.args) == 2:
+            where, exc = where + exc.args[1], exc.args[0]
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _read(node, path: str, kind: str) -> dict:
@@ -150,61 +181,13 @@ def _read(node, path: str, kind: str) -> dict:
         elif isinstance(reader, str):
             out[key] = _read(node[key], where, reader)
         else:
-            try:
-                out[key] = reader(node[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+            out[key] = _value(node[key], where, reader)
     return out
 
 
-class _NonFinite:
-    """Stands in for a number that JSON parsing would make NaN or infinite."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def _first_non_finite(node, path: str):
-    """(key path, literal) of the first _NonFinite under node, or None."""
-    if isinstance(node, _NonFinite):
-        return path, node.text
-    if isinstance(node, dict):
-        items = [(f"{path}.{key}" if path else key, v) for key, v in node.items()]
-    elif isinstance(node, list):
-        items = [(f"{path}[{k}]", v) for k, v in enumerate(node)]
-    else:
-        return None
-    for child_path, child in items:
-        found = _first_non_finite(child, child_path)
-        if found:
-            return found
-    return None
-
-
-def _load_json(path, prefix: str = ""):
-    """Parse a JSON file. NaN, Infinity, -Infinity and numbers too large
-    for a float are a ConfigError naming their key path after prefix; the
-    document is walked only when the parser met one.
-    """
-    seen = []
-
-    def number(text: str):
-        value = float(text)
-        if math.isfinite(value):
-            return value
-        seen.append(text)
-        return _NonFinite(text)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=number, parse_constant=number)
-    if seen:
-        where, text = _first_non_finite(doc, "")
-        raise ConfigError(f"{prefix}{where}: non-finite number {text}")
-    return doc
-
-
 def load_config(path) -> dict:
-    cfg = _load_json(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: scenario must be a JSON object")
     return cfg
@@ -213,15 +196,18 @@ def load_config(path) -> dict:
 def build_space(spec: dict, path: str = "space") -> StrategySpace:
     """The strategy space of a `space` object as `_read` returns it."""
     if "grid" in spec:
+        if "points" in spec or "metric" in spec:
+            raise ConfigError(f"{path}: give either 'grid' or 'points', not both")
         g = spec["grid"]
         try:
             return build_grid(g.get("dim", len(g["bounds"])), g["bounds"], g["counts"])
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.grid: {exc}") from None
     if "points" in spec:
-        points = spec["points"]
-        metric = spec["metric"] if "metric" in spec else euclidean_metric(points)
-        return StrategySpace(points=points, metric=metric)
+        try:
+            return StrategySpace(spec["points"], spec.get("metric"))
+        except ConfigError as exc:          # its message starts with the key
+            raise ConfigError(f"{path}.{exc}") from None
     raise ConfigError(f"{path}: needs either 'grid' or 'points'")
 
 
@@ -235,10 +221,7 @@ def _resolve_coeff(value, space: StrategySpace, name: str):
         if slope.shape != (space.dim,):
             raise ConfigError(f"{name}: slope must have one entry per axis")
         return aff.get("const", 0.0) + space.points @ slope
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    arr = _value(value, name, _array)
     if arr.ndim == 0:
         return float(arr)
     if arr.shape != (space.size,):
@@ -259,7 +242,10 @@ def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     if family == "gaussian":
         if "width" not in spec:
             raise ConfigError("kernel.width: required key is missing")
-        return local_mutation_kernel(space, spec["width"])
+        try:
+            return local_mutation_kernel(space, spec["width"])
+        except ConfigError as exc:
+            raise ConfigError(f"kernel.width: {exc}") from None
     raise ConfigError("kernel: needs either 'matrix' or 'family'")
 
 
@@ -291,7 +277,6 @@ class Scenario:
     rates: VitalRates            # truncated
     state0: SystemState
     control: StepControl
-    picard_options: dict         # picard_solve keywords, used when method is picard
     hash: str
 
 
@@ -329,16 +314,13 @@ def build_scenario(cfg: dict) -> Scenario:
         )
 
     control = doc["control"]
+    if "lambda" in control:
+        control["lam"] = control.pop("lambda")
     return Scenario(
         kernel=kernel,
         rates=rates,
         state0=state0,
-        control=StepControl(
-            **{k: v for k, v in control.items() if k not in _PICARD_KEYS}
-        ),
-        picard_options={
-            _PICARD_KEYS[k]: v for k, v in control.items() if k in _PICARD_KEYS
-        },
+        control=StepControl(**control),
         hash=scenario_hash(cfg),
     )
 
@@ -347,12 +329,13 @@ def run(sc: Scenario) -> tuple[Trajectory, DiagnosticsReport]:
     """Integrate a scenario and build its DiagnosticsReport.
 
     The method is chosen here and nowhere else: "picard" runs picard_solve
-    with sc.picard_options, "rk4" and "adaptive" run integrate. The
-    trajectory's metadata carries the scenario hash and the package version.
+    with the contraction weight sc.control.lam, "rk4" and "adaptive" run
+    integrate. The trajectory's metadata carries the scenario hash and the
+    package version.
     """
     if sc.control.method == "picard":
         traj = picard_solve(
-            sc.state0, sc.control.t_end, sc.rates, sc.kernel, **sc.picard_options
+            sc.state0, sc.control.t_end, sc.rates, sc.kernel, sc.control.lam
         )
     else:
         traj = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates, sc.kernel)
@@ -363,18 +346,22 @@ def run(sc: Scenario) -> tuple[Trajectory, DiagnosticsReport]:
 
 def load_measure_file(path):
     """Measure file: a space spec plus (atom index, weight) pairs."""
-    doc = _load_json(path, f"{path}: ")
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict) or "space" not in doc or "weights" not in doc:
         raise ConfigError(f"{path}: measure file needs 'space' and 'weights'")
     where = f"{path}: space"
     space = build_space(_read(doc["space"], where, "space"), where)
-    try:
-        entries = [(int(idx), float(val)) for idx, val in doc["weights"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: weights: {exc}") from None
+    pairs = _value(doc["weights"], f"{path}: weights", _array)
+    if pairs.size == 0:                     # no pairs: the zero measure
+        pairs = np.empty((0, 2))
+    elif pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ConfigError(f"{path}: weights: expected a list of [index, weight] pairs")
+    index = pairs[:, 0]
+    bad = np.flatnonzero((index % 1 != 0) | (index < 0) | (index >= space.size))
+    if bad.size:
+        raise ConfigError(f"{path}: weights[{bad[0]}][0]: expected an atom index "
+                          f"in 0..{space.size - 1}, got {index[bad[0]]:g}")
     w = np.zeros(space.size)
-    for idx, val in entries:
-        if not 0 <= idx < space.size:
-            raise ConfigError(f"{path}: atom index {idx} out of range")
-        w[idx] += val
+    np.add.at(w, index.astype(int), pairs[:, 1])    # in order, as a loop adds
     return DiscreteMeasure(space, w)

@@ -18,34 +18,37 @@ class StrategySpace:
     """A compact strategy space discretized to atoms with a distance matrix.
 
     points: (n, dim) coordinates of the atoms.
-    metric: (n, n) symmetric distances, zero diagonal, positive off-diagonal.
+    metric: (n, n) symmetric distances, zero diagonal, positive off-diagonal;
+    None is the Euclidean distance. An error names its argument first.
     """
 
     points: np.ndarray
-    metric: np.ndarray
+    metric: np.ndarray | None = None
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        metric = np.asarray(self.metric, dtype=float)
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim != 2 or points.shape[0] < 1:
+            raise ConfigError("points: expected a 2-D array with a row per atom, "
+                              f"got shape {points.shape}")
+        metric = np.asarray(
+            euclidean_metric(points) if self.metric is None else self.metric, dtype=float)
         n = points.shape[0]
-        if n < 1:
-            raise ConfigError("strategy space needs at least one point")
         if metric.shape != (n, n):
             raise ConfigError(
-                f"metric shape {metric.shape} does not match {n} points"
+                f"metric: shape {metric.shape} does not match {n} points"
             )
         if not np.allclose(metric, metric.T, atol=0.0):
-            raise ConfigError("metric must be symmetric")
+            raise ConfigError("metric: must be symmetric")
         if np.any(np.diag(metric) != 0.0):
-            raise ConfigError("metric diagonal must be zero")
+            raise ConfigError("metric: diagonal must be zero")
         off = metric[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
-            raise ConfigError("off-diagonal distances must be positive")
+            raise ConfigError("metric: off-diagonal distances must be positive")
         if n <= _TRIANGLE_CHECK_LIMIT:
             # d(i,k) <= d(i,j) + d(j,k) for all triples
             via = metric[:, :, None] + metric[None, :, :]
             if np.any(metric > via.min(axis=1) + 1e-12):
-                raise ConfigError("metric violates the triangle inequality")
+                raise ConfigError("metric: violates the triangle inequality")
         points.setflags(write=False)
         metric.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -87,7 +90,7 @@ def build_grid(dim, bounds, counts) -> StrategySpace:
             raise ConfigError("degenerate axis requires count 1")
         axes.append(np.linspace(lo, hi, c))
     pts = np.array([p for p in itertools.product(*axes)], dtype=float)
-    return StrategySpace(points=pts, metric=euclidean_metric(pts))
+    return StrategySpace(points=pts)
 
 
 def euclidean_metric(points: np.ndarray) -> np.ndarray:

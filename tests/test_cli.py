@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crflow
 import crflow.cli
@@ -97,7 +101,7 @@ class TestRun:
         traj, report = run(sc)
         if sc.control.method == "picard":
             ref = picard_solve(sc.state0, sc.control.t_end, sc.rates, sc.kernel,
-                               **sc.picard_options)
+                               sc.control.lam)
         else:
             ref = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates,
                             sc.kernel)
@@ -194,17 +198,15 @@ class TestCheck:
         assert code != 0
         assert "FAIL" in out
 
-    def test_picard_options_reach_the_picard_check(self, tmp_path, capsys):
+    def test_picard_options_reach_the_picard_check(self, tmp_path, capsys,
+                                                   monkeypatch):
         cfg = washout_cfg()
-        cfg["control"]["max_iter"] = 1
-        path = write_cfg(tmp_path, cfg)
-        code = main(["check", "--scenario", str(path)])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 3
-        assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        assert err["type"] == "ConvergenceError"
-        assert "did not converge in 1 steps" in err["message"]
+        cfg["control"]["lambda"] = 7.5
+        solve, weights = crflow.cli.picard_solve, []
+        monkeypatch.setattr(crflow.cli, "picard_solve",
+                            lambda *args: weights.append(args[4]) or solve(*args))
+        assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == 0
+        assert weights == [7.5]
 
     def test_empty_directory(self, tmp_path, capsys):
         code = main(["check", "--scenario", str(tmp_path)])
@@ -320,11 +322,8 @@ class TestSweep:
         path2 = write_cfg(tmp_path, cfg2, "direct.json")
         assert main(["simulate", "--scenario", str(path2),
                      "--out", str(direct)]) == 0
-        a = (out / "run_0000" / "trajectory.csv").read_text()
-        b = (direct / "trajectory.csv").read_text()
-        # same trajectory rows; the header hash differs because the sweep
-        # template carries the extra sweep section
-        assert a.splitlines()[1:] == b.splitlines()[1:]
+        for name in ("trajectory.csv", "diagnostics.json"):
+            assert (out / "run_0000" / name).read_bytes() == (direct / name).read_bytes()
 
     def test_sweep_without_section_exits_2(self, tmp_path):
         path = write_cfg(tmp_path, washout_cfg())
@@ -449,8 +448,21 @@ class TestConfigErrors:
         (lambda cfg: cfg.update(seed="x"), "seed: "),
         (lambda cfg: cfg["control"].update(method="picard", **{"lambda": "x"}),
          "control.lambda: "),
-        (lambda cfg: cfg["control"].update(method="picard", nodes=0),
+        # the Picard quadrature is a constant, not a setting
+        (lambda cfg: cfg["control"].update(method="picard", nodes=512),
          "control.nodes: "),
+        (lambda cfg: cfg["control"].update(method="picard", **{"lambda": -1}),
+         "control.lambda: expected a number >= 0 or null, got -1"),
+        (lambda cfg: cfg["space"]["grid"].update(counts=[2.5]),
+         "space.grid.counts: expected an integer, got 2.5"),
+        (lambda cfg: cfg["space"]["grid"].update(counts=True),
+         "space.grid.counts: expected a list of integers, got true"),
+        (lambda cfg: cfg["space"].update(points=[[0.0], [1.0]]),
+         "space: give either 'grid' or 'points', not both"),
+        (lambda cfg: cfg.update(space={"points": [[[0.0]], [[1.0]]]}),
+         "space.points: expected a 2-D array"),
+        (lambda cfg: cfg.update(kernel={"family": "gaussian", "width": 1e-300}),
+         "kernel.width: non-finite entry nan at (0, 0)"),
         (lambda cfg: cfg["control"].update(record_every=0),
          "control.record_every: expected an integer >= 1, got 0"),
         (lambda cfg: cfg["control"].update(record_every=2.5),
@@ -487,7 +499,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("key", [
         "rates.inflow", "rates.dilution", "initial.S", "control.dt",
         "control.t_end", "control.tolerance", "control.record_every",
-        "control.picard_tol", "control.nodes", "control.max_iter", "kernel.width",
+        "control.lambda", "kernel.width",
     ])
     def test_ill_typed_scalar_names_its_key(self, tmp_path, capsys, key):
         cfg = washout_cfg()
@@ -514,8 +526,14 @@ class TestConfigErrors:
         assert row.split(",")[2] == "validation-error"
         assert f'"{key}: ' in row
 
-    @pytest.mark.parametrize("weights", [[[0, "x"]], 3, [[0]]])
-    def test_bad_measure_file_exits_2(self, tmp_path, capsys, weights):
+    @pytest.mark.parametrize("weights, where", [
+        ([[0, "x"]], "weights: "),
+        (3, "weights: "),
+        ([[0]], "weights: "),
+        ([[0.5, 1.0]], "weights[0][0]: expected an atom index in 0..1, got 0.5"),
+        ([[1, 1.0], [2, 1.0]], "weights[1][0]: expected an atom index in 0..1, got 2"),
+    ], ids=["weights0", "3", "weights2", "fractional_index", "index_out_of_range"])
+    def test_bad_measure_file_exits_2(self, tmp_path, capsys, weights, where):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({
             "space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [2]}},
@@ -525,8 +543,7 @@ class TestConfigErrors:
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["message"].startswith(
-            f"{path}: weights: ")
+        assert json.loads(lines[0])["error"]["message"].startswith(f"{path}: {where}")
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_measure_weight_exits_2(self, tmp_path, capsys, literal):
@@ -541,8 +558,8 @@ class TestConfigErrors:
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
         assert err["type"] == "ConfigError"
-        assert err["message"] == (
-            f"{path}: weights[1][1]: non-finite number {literal}")
+        shown = "Infinity" if literal == "1e999" else literal
+        assert err["message"] == f"{path}: weights[1][1]: non-finite number {shown}"
 
     @pytest.mark.parametrize("key, value, where", [
         ("inflow", math.nan, "rates.inflow: non-finite number NaN"),
@@ -603,3 +620,196 @@ class TestConfigErrors:
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["validation-error"] * 2
         assert all("rates.inflw: unknown key" in row for row in rows)
+
+
+def set_at(doc, where: str, value) -> None:
+    """Set the entry at a key path such as "rates.uptake.b[1]" in doc."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", where)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+NON_FINITE = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity",
+              "1e999": "Infinity"}
+PLACEHOLDER = "@non-finite@"
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("literal", sorted(NON_FINITE))
+    @pytest.mark.parametrize("document, where, before", [
+        ("scenario", "space.grid.dim", []),
+        ("scenario", "space.grid.bounds[0][1]", []),
+        ("scenario", "space.grid.counts[0]", []),
+        ("scenario", "space.points[1][0]", [("space", {"points": [[0.0], [1.0]]})]),
+        ("scenario", "space.metric[0][1]", [
+            ("space", {"points": [[0.0], [1.0]], "metric": [[0, 1], [1, 0]]})]),
+        ("scenario", "kernel.width", []),
+        ("scenario", "kernel.matrix[1][0]", [("kernel", {"matrix": [[1, 0], [0, 1]]})]),
+        ("scenario", "rates.inflow", []),
+        ("scenario", "rates.dilution", []),
+        ("scenario", "rates.uptake.b", []),
+        ("scenario", "rates.uptake.b[1]", [("rates.uptake.b", [1.0, 1.0])]),
+        ("scenario", "rates.uptake.b.affine.const", [
+            ("rates.uptake.b", {"affine": {"const": 1.0, "slope": [0.0]}})]),
+        ("scenario", "rates.uptake.b.affine.slope[0]", [
+            ("rates.uptake.b", {"affine": {"const": 1.0, "slope": [0.0]}})]),
+        ("scenario", "rates.uptake.a", []),
+        ("scenario", "rates.mortality.d0", []),
+        ("scenario", "rates.mortality.c", [("rates.mortality.family", "decreasing")]),
+        ("scenario", "initial.S", []),
+        ("scenario", "initial.weights[1]", []),
+        ("scenario", "control.dt", []),
+        ("scenario", "control.t_end", []),
+        ("scenario", "control.tolerance", []),
+        ("scenario", "control.record_every", []),
+        ("scenario", "control.lambda", [("control.method", "picard")]),
+        ("scenario", "truncation", []),
+        ("scenario", "seed", []),
+        ("measure", "space.grid.bounds[0][0]", []),
+        ("measure", "weights[1][0]", []),
+        ("measure", "weights[1][1]", []),
+    ])
+    def test_exits_2_naming_its_key(self, tmp_path, capsys, document, where,
+                                    before, literal):
+        if document == "scenario":
+            doc = washout_cfg()
+        else:
+            doc = {"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]],
+                                      "counts": [2]}},
+                   "weights": [[0, 1.0], [1, 0.5]]}
+        for key, value in before:
+            set_at(doc, key, value)
+        set_at(doc, where, PLACEHOLDER)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace(f'"{PLACEHOLDER}"', literal),
+                        encoding="utf-8")
+        if document == "scenario":
+            argv, prefix = ["simulate", "--scenario", str(path),
+                            "--out", str(tmp_path / "out")], ""
+        else:
+            argv, prefix = ["flatnorm", str(path), str(path)], f"{path}: "
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        # an array entry is named by its index, a grid count by the list
+        key = "space.grid.counts" if where.startswith("space.grid.counts") else where
+        assert err["message"] == (
+            f"{prefix}{key}: non-finite number {NON_FINITE[literal]}")
+
+    @pytest.mark.parametrize("literal", sorted(NON_FINITE))
+    def test_fails_only_its_sweep_row(self, tmp_path, literal):
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["control"]["t_end"] = 1.0
+        cfg["sweep"] = {"rates.inflow": [1.0, PLACEHOLDER]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg).replace(f'"{PLACEHOLDER}"', literal),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["status"] for c in cells] == ["ok", "validation-error"]
+        assert cells[1]["error"] == (
+            f"rates.inflow: non-finite number {NON_FINITE[literal]}")
+
+
+def ragged_points_template():
+    """A points-form template whose second value of space.points is 3-D."""
+    cfg = washout_cfg()
+    cfg["space"] = {"points": [[0.0], [1.0]]}
+    cfg["sweep"] = {"space.points": [[[0.0], [1.0]], [[[0.0]], [[1.0]]]]}
+    return cfg
+
+
+class TestFailureTable:
+    def test_points_that_are_not_2d_exit_2(self, tmp_path, capsys):
+        cfg = ragged_points_template()
+        cfg["space"]["points"] = cfg.pop("sweep")["space.points"][1]
+        code = main(["simulate", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["message"].startswith("space.points: expected a 2-D array")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_points_that_are_not_2d_fail_only_their_sweep_row(self, tmp_path, jobs):
+        path = write_cfg(tmp_path, ragged_points_template())
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["status"] for c in cells] == ["ok", "validation-error"]
+        assert cells[1]["error"].startswith("space.points: ")
+
+    def test_other_exception_is_one_json_error(self, tmp_path, capsys, monkeypatch):
+        def broken(sc):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(crflow.cli, "run", broken)
+        code = main(["simulate", "--scenario", str(SCENARIOS / "washout.json"),
+                     "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": {
+            "type": "TypeError", "message": "unsupported operand", "exit_code": 1}}
+
+        cfg = washout_cfg()
+        cfg["sweep"] = {"rates.inflow": [0.5, 1.0]}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["status"] for c in cells] == ["internal-error"] * 2
+        assert cells[0]["error"] == "TypeError: unsupported operand"
+
+
+# Single-key edits of scenarios/washout.json: every key path of the document
+# paired with a value from a fixed menu. Its largest finite number, 2.5, as
+# t_end at washout's dt of 1e-3 makes 2,500 steps, below the bound of 1e4.
+WASHOUT = washout_cfg()
+
+
+def key_paths(node, path=""):
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else key
+        yield where
+        if isinstance(value, dict):
+            yield from key_paths(value, where)
+
+
+MENU = ["", "x", "picard", "gaussian", True, False, None, [], {},
+        [[[0.0, 1.0]]], PLACEHOLDER + "NaN", PLACEHOLDER + "Infinity",
+        PLACEHOLDER + "-Infinity", PLACEHOLDER + "1e999", 0, -1, 2.5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(where=st.sampled_from(sorted(key_paths(WASHOUT))), value=st.sampled_from(MENU))
+def test_single_key_edits_exit_by_the_error_contract(tmp_path_factory, where, value):
+    doc = json.loads(json.dumps(WASHOUT))
+    set_at(doc, where, value)
+    text = json.dumps(doc)
+    for literal in NON_FINITE:
+        text = text.replace(f'"{PLACEHOLDER}{literal}"', literal)
+    tmp = tmp_path_factory.mktemp("edit")
+    path = tmp / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp / "out")])
+    assert code in (0, 1, 2, 3, 4)
+    if code != 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["exit_code"] == code

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from crflow.dynamics import (
     StepControl,
@@ -20,6 +21,7 @@ from crflow.kernel import (
 )
 from crflow.measure import DiscreteMeasure, flat_distance
 from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
+from crflow.scenario import build_scenario, run
 from crflow.space import build_grid
 
 from conftest import random_admissible_scenario
@@ -234,11 +236,12 @@ class TestSemiflow:
 
 class TestPicard:
     def test_equilibrium_is_fixed_point_in_one_iteration(self):
-        # constant trajectory: the operator reproduces it up to quadrature
+        # constant trajectory: the operator reproduces it up to quadrature in
+        # one iteration, and a second iteration changes nothing
         sp, rates, K, _ = washout_setup()
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
-        traj = picard_solve(state, 1.0, rates, K, tol=1e-6)
-        assert traj.metadata["iterations"] == [1]
+        traj = picard_solve(state, 1.0, rates, K)
+        assert traj.metadata["iterations"] == [2]
         # quadrature error of the trapezoid rule sets the scale here
         assert np.abs(traj.S - 1.0).max() < 1e-6
 
@@ -271,6 +274,54 @@ class TestPicard:
         assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
         rk = integrate(state0, 3.0, StepControl(dt=1e-3), rates, K)
         assert traj.endpoint().S == pytest.approx(rk.endpoint().S, abs=1e-5)
+
+    @pytest.mark.parametrize("cfg", [
+        {   # 6 atoms to T = 4; the contraction weight derives to about 260
+            "space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [6]}},
+            "kernel": {"family": "pure_selection"},
+            "rates": {"inflow": 1.894, "dilution": 1.435,
+                      "uptake": {"family": "monod", "a": 0.573,
+                                 "b": [1.342, 1.579, 1.568, 0.931, 0.885, 1.050]},
+                      "mortality": {"family": "decreasing", "d0": 0.109, "c": 0.109}},
+            "initial": {"S": 0.315,
+                        "weights": [0.466, 0.096, 0.289, 0.111, 0.216, 0.427]},
+            "control": {"method": "picard", "t_end": 4.0},
+        },
+        {   # 16 atoms to T = 3; the contraction weight derives to about 290
+            "space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [16]}},
+            "kernel": {"family": "gaussian", "width": 0.232},
+            "rates": {"inflow": 1.662, "dilution": 1.243,
+                      "uptake": {"family": "linear",
+                                 "b": [0.847, 0.693, 0.856, 0.884, 1.056, 0.839,
+                                       0.566, 0.832, 0.559, 0.748, 0.749, 1.105,
+                                       0.922, 0.508, 1.166, 1.059]},
+                      "mortality": {"family": "constant", "d0": 0.319}},
+            "initial": {"S": 0.859,
+                        "weights": [0.272, 0.093, 0.364, 0.409, 0.060, 0.270,
+                                    0.281, 0.208, 0.364, 0.269, 0.291, 0.404,
+                                    0.465, 0.196, 0.292, 0.474]},
+            "control": {"method": "picard", "t_end": 3.0},
+        },
+    ], ids=["6_atoms", "16_atoms"])
+    def test_default_weight_matches_dop853(self, cfg):
+        # The weight sets the norm of the contraction ratio, not when to
+        # stop: a weight this large discounts all but the start of a window.
+        sc = build_scenario(cfg)
+        traj, _ = run(sc)
+        assert traj.metadata["lambda"] > 200.0
+        rates, rows = sc.rates, sc.kernel.rows
+
+        def rhs(_t, y):
+            S, w = y[0], y[1:]
+            B = rates.uptake_values(S)
+            return np.concatenate([[rates.inflow - rates.dilution * S - B @ w],
+                                   rows.T @ (B * w) - rates.mortality_values(S) * w])
+
+        y0 = np.concatenate([[sc.state0.S], sc.state0.mu.weights])
+        ref = solve_ivp(rhs, (0.0, sc.control.t_end), y0, method="DOP853",
+                        rtol=1e-12, atol=1e-12).y[:, -1]
+        end = np.concatenate([[traj.S[-1]], traj.weights[-1]])
+        assert np.abs(end - ref).max() <= 1e-5
 
     def test_rejects_bad_input(self):
         sp, rates, K, state0 = single_strain()

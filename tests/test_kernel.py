@@ -131,6 +131,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MutationKernel(sp, np.array([[-0.1, 1.1], [0.5, 0.5]]))
 
+    def test_non_finite_entry(self):
+        report = validate_stochastic(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+        assert not report.ok
+        assert report.messages[0] == "non-finite entry nan at (0, 0)"
+        sp = build_grid(1, [(0.0, 1.0)], [2])
+        # renormalizing does not rescue a non-finite row
+        with pytest.raises(ConfigError, match="non-finite entry inf at"):
+            MutationKernel(sp, np.array([[np.inf, 0.5], [0.5, 0.5]]), renormalize=True)
+        with pytest.raises(ConfigError, match="non-finite entry nan at"):
+            local_mutation_kernel(sp, 1e-300)
+
     def test_renormalize_is_explicit(self):
         sp = build_grid(1, [(0.0, 1.0)], [2])
         K = MutationKernel(
