@@ -55,7 +55,11 @@ def local_mutation_kernel(space: StrategySpace, width: float) -> MutationKernel:
     """Gaussian mutation: row i proportional to exp(-d(i,j)^2 / (2 width^2))."""
     if width <= 0:
         raise ConfigError("mutation width must be positive")
-    logw = -(space.metric ** 2) / (2.0 * width ** 2)
+    scale = 2.0 * width ** 2
+    if scale == 0.0:
+        raise ConfigError(f"mutation width {width:g} is too small: 2 width^2 underflows to 0")
+    with np.errstate(over="ignore"):        # -inf is the limit: exp gives 0
+        logw = -(space.metric ** 2) / scale
     rows = np.exp(logw)
     return MutationKernel(space, rows / rows.sum(axis=1)[:, None])
 

@@ -4,7 +4,8 @@ A measure is a signed weight vector over the atoms of a StrategySpace. The
 flat norm (bounded-Lipschitz dual norm) of a discrete measure metrizes
 weak* convergence and is the distance used throughout the dynamics and
 diagnostics. It is computed exactly by a linear program in its flow form,
-n + 2 rows for n atoms, and every value is certified by the optimal test
+n + 2 rows for n atoms and one column per arc that no detour through a
+third atom dominates, and every value is certified by the optimal test
 function that the solver's multipliers give.
 """
 
@@ -16,10 +17,13 @@ import numpy as np
 
 from crflow.errors import DimensionError, NumericalError
 from crflow.simplex import solve_lp
-from crflow.space import StrategySpace
+from crflow.space import StrategySpace, detour_lengths
 
 # Relative tolerance of the flat-norm certificate.
 CERT_TOL = 1e-12
+# Relative slack within which a detour through a third atom counts as no
+# longer than the direct arc: a few ulp, the rounding of collinear points.
+DETOUR_SLACK = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,34 @@ def bl_norm_fn(g: AtomFunction) -> float:
     return sup + lip
 
 
+def _arcs(metric: np.ndarray):
+    """(i, j) of the arcs i -> j, in row-major order, that the flow needs.
+
+    An arc goes when some k has d_ik + d_kj <= d_ij (1 + DETOUR_SLACK): its
+    flow can take the detour at no more cost. Every arc of a detour is then
+    strictly shorter than the arc it replaces, so detours end on kept arcs,
+    unless some distance is within the slack of zero against the largest;
+    such a metric keeps every arc.
+    """
+    n = metric.shape[0]
+    keep = ~np.eye(n, dtype=bool)
+    off = metric[keep]
+    if off.size and off.min() > DETOUR_SLACK * off.max():
+        keep &= detour_lengths(metric) > metric * (1.0 + DETOUR_SLACK)
+    return np.nonzero(keep)
+
+
 def _flow_lp(weights: np.ndarray, metric: np.ndarray):
     """(c, A, b, basis) of the flow form of the flat norm of a weight vector.
 
-    Columns: created mass a+ and a- (n each), one flow pi_ij per ordered
-    pair i != j in row-major order, the value t and the slacks of its two
-    bounds. Rows: a+_i - a-_i + sum_j (pi_ij - pi_ji) = w_i for each atom,
-    then sum(a+ + a-) - t + sigma_s = 0 and sum_ij d_ij pi_ij - t + sigma_L
-    = 0. The starting basis creates every weight where it sits, with
-    t = sigma_L = ||w||_1.
+    Columns: created mass a+ and a- (n each), one flow pi_ij per arc of
+    `_arcs`, the value t and the slacks of its two bounds. Rows: a+_i -
+    a-_i + sum_j (pi_ij - pi_ji) = w_i for each atom, then sum(a+ + a-) -
+    t + sigma_s = 0 and sum_ij d_ij pi_ij - t + sigma_L = 0. The starting
+    basis creates every weight where it sits, with t = sigma_L = ||w||_1.
     """
     n = weights.shape[0]
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    i, j = _arcs(metric)
     atoms = np.arange(n)
     arcs = 2 * n + np.arange(i.size)
     t = 2 * n + i.size
@@ -139,14 +159,16 @@ def bl_dual_norm(mu: DiscreteMeasure) -> float:
     By LP duality this is the least max(||a||_1, sum_ij d_ij pi_ij) over
     splittings mu = a + div pi into created mass a and a flow pi >= 0
     between atoms (the created-plus-transported form of the flat metric).
-    That LP has n + 2 rows, and `solve_lp` inverts its basis afresh at
-    every pivot. Its multipliers are the optimal test function f on the
-    atom rows and -s, -L on the two bound rows, where s is the sup bound
-    and L the Lipschitz bound of f. The value is accepted only with a
-    certificate: bl_norm_fn(f) <= 1 + CERT_TOL, the flow reproduces mu and
-    meets both bounds to CERT_TOL * ||mu||_1, and the duality gap
-    |t - mu[f]| is at most CERT_TOL * t. Otherwise a NumericalError is
-    raised instead of returning a number.
+    That LP has n + 2 rows and a flow column only for the arcs that no
+    detour dominates (2 (n - 1) on a line), and `solve_lp` declares its
+    optimum on a fresh inverse of the basis. Its multipliers are the
+    optimal test function f on the atom rows and -s, -L on the two bound
+    rows, where s is the sup bound and L the Lipschitz bound of f. The
+    value is accepted only with a certificate: bl_norm_fn(f) <= 1 +
+    CERT_TOL against the full metric, so a wrongly dropped arc cannot pass;
+    the flow reproduces mu and meets both bounds to CERT_TOL * ||mu||_1;
+    and the duality gap |t - mu[f]| is at most CERT_TOL * t. Otherwise a
+    NumericalError is raised instead of returning a number.
 
     Exact for finite supports: the optimal test function extends to the
     whole space with the same sup and Lipschitz bounds, so the finite LP

@@ -2,15 +2,19 @@
 
 Solves   minimize c.x   subject to   A x = b,  x >= 0
 from a feasible starting basis that the caller supplies, so no phase 1 is
-needed. Every pivot inverts the m x m basis matrix B afresh with one
-`np.linalg.inv`, so rounding error cannot build up from pivot to pivot:
-the basic solution x_B = B^-1 b and the simplex multipliers y = c_B B^-1
-of the final basis carry the error of one inversion of B, however many
-pivots led there. All columns are priced in one product, c - y A. The entering column is chosen by
-Dantzig's rule (most negative reduced cost); once the objective has
-stalled for more than m + 10 pivots the solver switches for good to
-Bland's rule (lowest improving index, lowest leaving label among tied
-ratios), which guarantees termination on degenerate problems.
+needed. The inverse of the m x m basis matrix B is kept up to date by a
+rank-one (eta) update at each pivot, the product form of the inverse, and
+computed afresh with one `np.linalg.inv` every REFACTOR_EVERY pivots.
+Optimality is declared only on a fresh inverse: when pricing finds no
+improving column on an updated one, B is inverted again and priced again.
+So rounding cannot build up from pivot to pivot in what is returned: the
+basic solution x_B = B^-1 b and the simplex multipliers y = c_B B^-1 of the
+final basis carry the error of one inversion of B, however many pivots led
+there. All columns are priced in one product, c - y A. The entering
+column is chosen by Dantzig's rule (most negative reduced cost); once the
+objective has stalled for more than m + 10 pivots the solver switches for
+good to Bland's rule (lowest improving index, lowest leaving label among
+tied ratios), which guarantees termination on degenerate problems.
 
 The multipliers are returned with the solution, so a caller can certify
 optimality itself: at the optimum A^T y <= c up to the pivot tolerance and
@@ -28,6 +32,9 @@ from crflow.errors import NumericalError
 PIVOT_TOL = 1e-9
 # Relative tolerance within which two ratios of the ratio test tie.
 TIE_TOL = 1e-13
+# Pivots between two fresh inversions of the basis; the eta update between
+# them costs O(m^2) where an inversion costs O(m^3).
+REFACTOR_EVERY = 50
 
 
 class SimplexError(NumericalError):
@@ -36,6 +43,13 @@ class SimplexError(NumericalError):
 
 def _pivot_budget(m: int, n: int) -> int:
     return 20 * (m + n) + 1000
+
+
+def _inverse(A, basis):
+    try:
+        return np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError:
+        raise SimplexError("singular basis matrix") from None
 
 
 def solve_lp(c, A, b, basis):
@@ -59,14 +73,13 @@ def solve_lp(c, A, b, basis):
         raise SimplexError("LP data is not finite")
     max_pivots = _pivot_budget(m, n)
 
+    inv = _inverse(A, basis)
+    fresh = True
+    pivots = 0
     use_bland = False
     stalled = 0
     last_obj = np.inf
-    for pivots in range(max_pivots + 1):
-        try:
-            inv = np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError:
-            raise SimplexError("singular basis matrix") from None
+    while True:
         x_basic = inv @ b
         c_basic = c[basis]
         y = c_basic @ inv
@@ -77,13 +90,19 @@ def solve_lp(c, A, b, basis):
         red[basis] = 0.0
         if use_bland:
             improving = np.flatnonzero(red < -PIVOT_TOL)
-            if improving.size == 0:
-                break
-            col = int(improving[0])
+            col = int(improving[0]) if improving.size else -1
         else:
             col = int(red.argmin())
             if red[col] >= -PIVOT_TOL:
+                col = -1
+        if col < 0:
+            if fresh:
                 break
+            # A refresh is not a pivot: it spends no budget and no stall.
+            inv = _inverse(A, basis)
+            fresh = True
+            continue
+        if not use_bland:
             if obj >= last_obj - PIVOT_TOL:
                 stalled += 1
                 if stalled > m + 10:
@@ -107,7 +126,16 @@ def solve_lp(c, A, b, basis):
         # the minimum up to rounding. A looser tie would let a basic
         # variable go negative by the slack it allows.
         cand = np.flatnonzero(ratios <= best * (1.0 + TIE_TOL))
-        basis[cand[basis[cand].argmin()]] = col
+        r = cand[basis[cand].argmin()]
+        basis[r] = col
+        pivots += 1
+        fresh = pivots % REFACTOR_EVERY == 0
+        if fresh:
+            inv = _inverse(A, basis)
+        else:
+            row = inv[r] / d[r]
+            inv -= np.outer(d, row)
+            inv[r] = row
 
     x = np.zeros(n)
     x[basis] = x_basic

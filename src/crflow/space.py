@@ -9,8 +9,9 @@ import numpy as np
 
 from crflow.errors import ConfigError
 
-# Triangle-inequality verification is O(n^3); skip it above this size.
-_TRIANGLE_CHECK_LIMIT = 256
+# Sums d_ik + d_kj that detour_lengths holds at once: 256 KB of float64,
+# which keeps a block in cache and the peak memory small.
+_DETOUR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,9 @@ class StrategySpace:
 
     points: (n, dim) coordinates of the atoms.
     metric: (n, n) symmetric distances, zero diagonal, positive off-diagonal;
-    None is the Euclidean distance. An error names its argument first.
+    None is the Euclidean distance. A given metric is checked against the
+    triangle inequality; a computed one needs no check. An error names its
+    argument first.
     """
 
     points: np.ndarray
@@ -30,8 +33,8 @@ class StrategySpace:
         if points.ndim != 2 or points.shape[0] < 1:
             raise ConfigError("points: expected a 2-D array with a row per atom, "
                               f"got shape {points.shape}")
-        metric = np.asarray(
-            euclidean_metric(points) if self.metric is None else self.metric, dtype=float)
+        given = self.metric is not None
+        metric = np.asarray(self.metric if given else euclidean_metric(points), dtype=float)
         n = points.shape[0]
         if metric.shape != (n, n):
             raise ConfigError(
@@ -44,11 +47,8 @@ class StrategySpace:
         off = metric[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ConfigError("metric: off-diagonal distances must be positive")
-        if n <= _TRIANGLE_CHECK_LIMIT:
-            # d(i,k) <= d(i,j) + d(j,k) for all triples
-            via = metric[:, :, None] + metric[None, :, :]
-            if np.any(metric > via.min(axis=1) + 1e-12):
-                raise ConfigError("metric: violates the triangle inequality")
+        if given and np.any(metric > detour_lengths(metric) + 1e-12):
+            raise ConfigError("metric: violates the triangle inequality")
         points.setflags(write=False)
         metric.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -91,6 +91,24 @@ def build_grid(dim, bounds, counts) -> StrategySpace:
         axes.append(np.linspace(lo, hi, c))
     pts = np.array([p for p in itertools.product(*axes)], dtype=float)
     return StrategySpace(points=pts)
+
+
+def detour_lengths(metric: np.ndarray) -> np.ndarray:
+    """(n, n) array of min over k not in {i, j} of d_ik + d_kj, for i != j.
+
+    The shortest way from i to j through a third atom; +inf when there is
+    none. The diagonal holds no detour and is left for the caller to mask.
+    Rows i are taken a block at a time, so memory stays O(n^2) at any size.
+    """
+    d = np.array(metric, dtype=float)
+    n = d.shape[0]
+    d.flat[::n + 1] = np.inf
+    out = np.empty((n, n))
+    rows = max(1, _DETOUR_BLOCK // (n * n))
+    for start in range(0, n, rows):
+        np.min(d[start:start + rows, :, None] + d[None, :, :], axis=1,
+               out=out[start:start + rows])
+    return out
 
 
 def euclidean_metric(points: np.ndarray) -> np.ndarray:

@@ -105,24 +105,28 @@ def flat_norm_bruteforce(weights, metric, coarse=41, refine=80):
 
 def flat_norm_highs(weights, metric):
     """Flat norm by HiGHS: max sum w_i f_i over |f_i| <= s,
-    f_i - f_j <= L d_ij (i != j), s + L <= 1, s, L >= 0."""
+    f_i - f_j <= L d_ij (i != j), s + L <= 1, s, L >= 0.
+
+    The constraint matrix is sparse: 2n + n(n-1) + 1 rows of at most n + 2
+    columns, 160k rows at 400 atoms."""
     from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
 
     w = np.asarray(weights, dtype=float)
     metric = np.asarray(metric, dtype=float)
     n = w.size
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    eye = np.eye(n)
-    sup = np.hstack([np.vstack([eye, -eye]), -np.ones((2 * n, 1)),
-                     np.zeros((2 * n, 1))])
-    lip = np.zeros((i.size, n + 2))
-    lip[np.arange(i.size), i] = 1.0
-    lip[np.arange(i.size), j] = -1.0
-    lip[:, n + 1] = -metric[i, j]
-    budget = np.zeros((1, n + 2))
-    budget[0, n:] = 1.0
-    A = np.vstack([sup, lip, budget])
-    b = np.zeros(A.shape[0])
+    atoms = np.arange(n)
+    arcs = 2 * n + np.arange(i.size)
+    budget = 2 * n + i.size
+    rows = np.concatenate([atoms, n + atoms, np.arange(2 * n), arcs, arcs, arcs,
+                           [budget, budget]])
+    cols = np.concatenate([atoms, atoms, np.full(2 * n, n), i, j,
+                           np.full(i.size, n + 1), [n, n + 1]])
+    vals = np.concatenate([np.ones(n), -np.ones(n), -np.ones(2 * n),
+                           np.ones(i.size), -np.ones(i.size), -metric[i, j], [1.0, 1.0]])
+    A = coo_matrix((vals, (rows, cols)), shape=(budget + 1, n + 2)).tocsr()
+    b = np.zeros(budget + 1)
     b[-1] = 1.0
     cost = np.concatenate([-w, [0.0, 0.0]])
     bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]

@@ -462,7 +462,7 @@ class TestConfigErrors:
         (lambda cfg: cfg.update(space={"points": [[[0.0]], [[1.0]]]}),
          "space.points: expected a 2-D array"),
         (lambda cfg: cfg.update(kernel={"family": "gaussian", "width": 1e-300}),
-         "kernel.width: non-finite entry nan at (0, 0)"),
+         "kernel.width: mutation width 1e-300 is too small: 2 width^2 underflows to 0"),
         (lambda cfg: cfg["control"].update(record_every=0),
          "control.record_every: expected an integer >= 1, got 0"),
         (lambda cfg: cfg["control"].update(record_every=2.5),

@@ -45,6 +45,9 @@ def test_gaussian_narrow_width_approaches_identity():
     K = local_mutation_kernel(sp, sp.metric.max() / 1000.0)
     off = K.rows[~np.eye(5, dtype=bool)]
     assert off.max() < 1e-6
+    # d^2 / (2 width^2) overflows to inf, whose exp is the 0 it tends to
+    with np.errstate(all="raise"):
+        assert np.array_equal(local_mutation_kernel(sp, 1e-160).rows, np.eye(5))
 
 
 def test_gaussian_singleton_any_width():
@@ -139,7 +142,8 @@ class TestValidation:
         # renormalizing does not rescue a non-finite row
         with pytest.raises(ConfigError, match="non-finite entry inf at"):
             MutationKernel(sp, np.array([[np.inf, 0.5], [0.5, 0.5]]), renormalize=True)
-        with pytest.raises(ConfigError, match="non-finite entry nan at"):
+        # rejected before it divides: no floating-point warning
+        with np.errstate(all="raise"), pytest.raises(ConfigError, match="width 1e-300 is too small"):
             local_mutation_kernel(sp, 1e-300)
 
     def test_renormalize_is_explicit(self):

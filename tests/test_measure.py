@@ -7,6 +7,8 @@ from crflow.errors import DimensionError, NumericalError
 from crflow.measure import (
     AtomFunction,
     DiscreteMeasure,
+    _arcs,
+    _flow_lp,
     bl_dual_norm,
     bl_norm_fn,
     dirac,
@@ -18,8 +20,10 @@ from conftest import random_space
 from oracles import (
     bullet_fn,
     bullet_kernel,
+    dense_solve_lp,
     flat_norm_bruteforce,
     flat_norm_highs,
+    loop_flat_norm_lp,
     pair,
     row_measure,
 )
@@ -168,6 +172,40 @@ class TestFlatDistance:
             assert flat_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
 
 
+class TestArcs:
+    """The flow LP keeps only the arcs that no detour dominates."""
+
+    @pytest.mark.parametrize("n, bounds", [
+        (2, (0.0, 1.0)), (3, (-1.0, 2.0)), (40, (0.0, 1.0)), (123, (-3.7, 11.1)),
+        (400, (1e-3, 2e-3)),
+    ])
+    def test_line_keeps_its_neighbour_arcs(self, n, bounds):
+        sp = build_grid(1, [bounds], [n])
+        c, A, b, basis = _flow_lp(np.ones(n), sp.metric)
+        assert A.shape == (n + 2, 2 * n + 2 * (n - 1) + 3)
+        i, j = _arcs(sp.metric)
+        assert np.array_equal(np.abs(i - j), np.ones(2 * (n - 1)))
+
+    def test_given_metric_matches_the_unpruned_lp(self):
+        # the l1 metric on a random cloud: every atom in the box spanned by
+        # i and j is a detour as short as the arc, up to rounding
+        rng = np.random.default_rng(14)
+        pts = rng.random((12, 2))
+        sp = StrategySpace(pts, np.abs(pts[:, None] - pts[None]).sum(axis=-1))
+        assert _arcs(sp.metric)[0].size < 12 * 11
+        for _ in range(20):
+            w = rng.normal(size=sp.size)
+            want = dense_solve_lp(*loop_flat_norm_lp(w, sp.metric))[0]
+            assert bl_dual_norm(measure(sp, w)) == pytest.approx(want, rel=1e-12)
+
+    def test_distance_near_zero_keeps_every_arc(self):
+        # 1e-20 + 1 rounds to 1, so each arc to atom 2 has a detour as long
+        # as itself through the other atom, and pruning would cut atom 2 off
+        sp = StrategySpace(np.array([[0.0], [1e-20], [1.0]]))
+        assert _arcs(sp.metric)[0].size == 6
+        assert flat_distance(dirac(sp, 0), dirac(sp, 2)) == pytest.approx(2 / 3, rel=1e-12)
+
+
 class TestFlatNormGate:
     """The flat norm against HiGHS at every size, and its certificate."""
 
@@ -178,15 +216,18 @@ class TestFlatNormGate:
         (1, 40, 40),
         (1, 100, 100),
         pytest.param(1, 200, 200, marks=pytest.mark.slow),
+        pytest.param(1, 400, 400, marks=pytest.mark.slow),
         (2, 6, 6),
         (2, 8, 8),
         (2, 9, 1),
         (2, 10, 0),
+        pytest.param(2, 16, 16, marks=pytest.mark.slow),
     ])
     def test_matches_highs_on_random_pairs(self, dim, count, seed):
         sp = build_grid(dim, [(0.0, 1.0)] * dim, [count] * dim)
         rng = np.random.default_rng(seed)
-        for _ in range(20):
+        # 5 pairs above 200 atoms, where each side takes seconds per pair
+        for _ in range(20 if sp.size <= 200 else 5):
             mu = measure(sp, rng.random(sp.size))
             nu = measure(sp, rng.random(sp.size))
             ref = flat_norm_highs(mu.weights - nu.weights, sp.metric)

@@ -7,7 +7,7 @@ from crflow.measure import DiscreteMeasure, flat_distance
 from crflow.simplex import PIVOT_TOL, SimplexError, solve_lp
 from crflow.space import build_grid
 
-from oracles import dense_solve_lp, loop_flat_norm_lp, tableau_flat_norm
+from oracles import dense_solve_lp, flat_norm_highs, loop_flat_norm_lp, tableau_flat_norm
 
 # Beale's LP, max c.x s.t. A x <= b: Dantzig's rule cycles on it from the
 # all-slack basis, so the solver gets out only through its stall rule and
@@ -201,15 +201,23 @@ def test_flat_norm_lps_match_dense_reference(dim, counts):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its first argument's shape."""
+    calls = []
+    func = getattr(module, name)
+
+    def counted(*args):
+        calls.append(np.shape(args[0]))
+        return func(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_beale_cycling_lp(monkeypatch):
-    factorizations = []
-    inv = np.linalg.inv
-
-    def counted(B):
-        factorizations.append(B.shape)
-        return inv(B)
-
-    monkeypatch.setattr(simplex.np.linalg, "inv", counted)
+    # with a fresh inversion after every pivot, inversions count pivots + 1
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+    factorizations = count_calls(monkeypatch, simplex.np.linalg, "inv")
     c, A, b = BEALE
     ref = linprog(-np.array(c), A_ub=A, b_ub=b, method="highs")
     value, x = solve_max(c, A, b)
@@ -219,3 +227,18 @@ def test_beale_cycling_lp(monkeypatch):
     # Dantzig's rule stalled for more than m + 10 = 13 pivots before
     # Bland's rule took over and reached the optimum
     assert len(factorizations) > 3 + 10 + 1
+
+
+def test_optimum_is_declared_on_a_fresh_inverse(monkeypatch):
+    # no refactorization in between: one inversion at the start and one
+    # before optimality is declared, however many eta updates came between
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 10**9)
+    inversions = count_calls(monkeypatch, simplex.np.linalg, "inv")
+    updates = count_calls(monkeypatch, simplex.np, "outer")
+    sp = build_grid(2, [(0.0, 1.0)] * 2, [5, 5])
+    rng = np.random.default_rng(13)
+    w = rng.random((2, sp.size))
+    got = flat_distance(DiscreteMeasure(sp, w[0]), DiscreteMeasure(sp, w[1]))
+    assert len(updates) > 1
+    assert len(inversions) == 2
+    assert got == pytest.approx(flat_norm_highs(w[0] - w[1], sp.metric), rel=1e-12)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import crflow.space
 from crflow.errors import ConfigError
-from crflow.space import StrategySpace, build_grid, euclidean_metric
+from crflow.space import StrategySpace, build_grid, detour_lengths, euclidean_metric
 
 from conftest import random_space
 
@@ -68,6 +69,30 @@ def test_triangle_violation_rejected():
     ])
     with pytest.raises(ConfigError):
         StrategySpace(np.array([[0.0], [1.0], [2.0]]), bad)
+
+
+def test_triangle_violation_rejected_at_any_size():
+    # 300 atoms, one pair of distances too long by 1e-9
+    pts = np.linspace(0.0, 1.0, 300)[:, None]
+    bad = euclidean_metric(pts)
+    bad[0, 299] = bad[299, 0] = 1.0 + 1e-9
+    with pytest.raises(ConfigError, match="triangle"):
+        StrategySpace(pts, bad)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 50])
+def test_detour_lengths_match_every_third_atom(monkeypatch, rng, block):
+    # a block of 50 sums is one row at a time
+    monkeypatch.setattr(crflow.space, "_DETOUR_BLOCK", block)
+    for _ in range(5):
+        d = random_space(rng, max_atoms=9).metric
+        n = d.shape[0]
+        got = detour_lengths(d)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    via = [d[i, k] + d[k, j] for k in range(n) if k not in (i, j)]
+                    assert got[i, j] == min(via, default=np.inf)
 
 
 def test_build_grid_deterministic():
