@@ -129,12 +129,15 @@ def run_checks(sc: Scenario, tol: float):
     direct = traj.endpoint()
     n_steps = len(traj) - 1
     if n_steps >= 2:
-        split = (n_steps // 2) * sc.control.dt
-        # With record_every=1 the stored state is bitwise the endpoint of a
-        # separate integration to split.
+        # The relay leaves the step grid: from the stored state at the split
+        # it takes a partial step, then the rest of the horizon, which ends
+        # with a remainder step; the law compares two step sequences.
         mid = traj.state(n_steps // 2)
+        rest = control.t_end - float(traj.times[n_steps // 2])
+        part = 0.5 * min(control.dt, rest)
+        shifted = integrate(mid, part, control, sc.rates, sc.kernel).endpoint()
         composed = integrate(
-            mid, control.t_end - split, control, sc.rates, sc.kernel
+            shifted, rest - part, control, sc.rates, sc.kernel
         ).endpoint()
         res = abs(direct.S - composed.S) + flat_distance(direct.mu, composed.mu)
         results.append(("semiflow_law", res <= tol, res))
@@ -144,10 +147,12 @@ def run_checks(sc: Scenario, tol: float):
     acc = abs(direct.S - refined.S) + flat_distance(direct.mu, refined.mu)
     results.append(("step_accuracy", acc <= tol, acc))
 
-    T = min(1.0, control.t_end)
-    pic_control = StepControl(method="rk4", dt=1e-3, t_end=T)
-    rk_end = integrate(sc.state0, T, pic_control, sc.rates, sc.kernel).endpoint()
-    pic = picard_solve(sc.state0, T, sc.rates, sc.kernel, sc.control.lam)
+    # Picard is compared with the run's own state at the last grid time
+    # <= min(1, t_end), at least one step in.
+    k = min(n_steps, max(1, int(min(1.0, control.t_end) / control.dt + 1e-9)))
+    rk_end = traj.state(k)
+    pic = picard_solve(sc.state0, float(traj.times[k]), sc.rates, sc.kernel,
+                       sc.control.lam)
     pic_end = pic.endpoint()
     gap = abs(rk_end.S - pic_end.S) + flat_distance(rk_end.mu, pic_end.mu)
     ratio = pic.metadata["contraction_ratio"]

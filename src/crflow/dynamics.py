@@ -112,8 +112,8 @@ def _make_rhs(rates: VitalRates, K: MutationKernel):
     return rhs
 
 
-def _rk4(rhs, S, w, dt):
-    k1S, k1w = rhs(S, w)
+def _rk4(rhs, S, w, dt, k1=None):
+    k1S, k1w = rhs(S, w) if k1 is None else k1
     k2S, k2w = rhs(S + 0.5 * dt * k1S, w + 0.5 * dt * k1w)
     k3S, k3w = rhs(S + 0.5 * dt * k2S, w + 0.5 * dt * k2w)
     k4S, k4w = rhs(S + dt * k3S, w + dt * k3w)
@@ -207,8 +207,10 @@ def integrate(
                 raise StiffnessError(
                     f"step size underflow at t={t!r} (dt={dt!r})"
                 )
-            S1, w1 = _rk4(rhs, S, w, dt)
-            Sh, wh = _rk4(rhs, S, w, 0.5 * dt)
+            # Both steps from (S, w) start from the same right-hand side.
+            k1 = rhs(S, w)
+            S1, w1 = _rk4(rhs, S, w, dt, k1)
+            Sh, wh = _rk4(rhs, S, w, 0.5 * dt, k1)
             S2, w2 = _rk4(rhs, Sh, wh, 0.5 * dt)
             err = (abs(S2 - S1) + float(np.abs(w2 - w1).max())) / 15.0
             if not math.isfinite(err):

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import crflow
 import crflow.cli
+import crflow.dynamics
+import crflow.scenario
 import crflow.measure
 from crflow.analysis import diagnostics
-from crflow.cli import main
+from crflow.cli import main, run_checks
 from crflow.dynamics import StepControl, integrate, picard_solve
 from crflow.errors import ConfigError, ValidationError
 from crflow.scenario import build_scenario, load_config, run, scenario_hash
@@ -407,8 +409,9 @@ class TestCheckSplitState:
         off_grid_cfg(),
     ])
     def test_stored_state_equals_separate_integration(self, cfg):
-        # run_checks takes the semiflow split state from the recorded
-        # trajectory instead of integrating to the split a second time.
+        # run_checks starts the semiflow relay from the recorded state at
+        # the split, which is bitwise the endpoint of a separate
+        # integration to the split.
         sc = build_scenario(cfg)
         control = StepControl(method="rk4", dt=sc.control.dt,
                               t_end=sc.control.t_end, record_every=1)
@@ -423,6 +426,82 @@ class TestCheckSplitState:
             separate.endpoint().S).view(np.uint64)
         assert np.array_equal(stored.mu.weights.view(np.uint64),
                               separate.endpoint().mu.weights.view(np.uint64))
+
+
+def check_rows(sc):
+    return {name: (ok, res) for name, ok, res in run_checks(sc, tol=1e-6)}
+
+
+class TestCheckRelayAndReference:
+    @pytest.mark.parametrize("name", ["desk_chemostat", "picard_chemostat",
+                                      "sweep_inflow", "washout"])
+    def test_semiflow_residual_is_not_trivially_zero(self, name):
+        # The relay takes a different step sequence from the main run.
+        ok, res = check_rows(build_scenario(load_config(
+            SCENARIOS / f"{name}.json")))["semiflow_law"]
+        assert ok and 0.0 < res <= 1e-6
+
+    @pytest.mark.parametrize("name", ["desk_chemostat", "washout"])
+    def test_semiflow_law_fails_when_short_steps_are_doubled(self, name,
+                                                             monkeypatch):
+        sc = build_scenario(load_config(SCENARIOS / f"{name}.json"))
+        rk4, dt = crflow.dynamics._rk4, sc.control.dt
+
+        def doubled(rhs, S, w, h, k1=None):
+            return rk4(rhs, S, w, 2.0 * h if h < dt else h, k1)
+
+        monkeypatch.setattr(crflow.dynamics, "_rk4", doubled)
+        ok, res = check_rows(sc)["semiflow_law"]
+        assert not ok and res > 1e-6
+
+    def test_checks_integrate_each_state_once(self, monkeypatch):
+        # desk_chemostat, dt 1e-3 to t_end 2: the main run (2000 steps), the
+        # relay from step 1000 (a half step, 999 steps and a half step) and
+        # the half-dt run (4000 steps); Picard reads the main run at t = 1.
+        sc = build_scenario(load_config(SCENARIOS / "desk_chemostat.json"))
+        steps = []
+        real = crflow.cli.integrate
+
+        def counted(*args):
+            traj = real(*args)
+            steps.append(len(traj) - 1)
+            return traj
+
+        monkeypatch.setattr(crflow.cli, "integrate", counted)
+        monkeypatch.setattr(crflow.scenario, "integrate", counted)
+        horizons = []
+        solve = crflow.cli.picard_solve
+        monkeypatch.setattr(crflow.cli, "picard_solve", lambda *args: (
+            horizons.append(args[1]) or solve(*args)))
+        rows = check_rows(sc)
+        assert all(ok for ok, _ in rows.values())
+        assert steps == [2000, 1, 1000, 4000]
+        assert sum(steps) == 7001
+        assert horizons == [1.0]
+
+    @pytest.mark.parametrize("edit,horizon,picard_row,code", [
+        ({"dt": 2.0, "t_end": 5.0}, 2.0, "FAIL", 1),     # one step in, dt > 1
+        ({"dt": 0.3, "t_end": 0.2}, 0.2, "PASS", 1),     # the remainder step
+        # the reference carries the run's own step error, 3.2e-5
+        ({"dt": 0.3, "t_end": 2.0}, 3 * 0.3, "FAIL", 1),
+        ({"dt": 0.01, "t_end": 0.035}, 3 * 0.01, "PASS", 0),
+        ({"t_end": 0.0}, 0.0, None, 2),                  # horizon must be positive
+    ])
+    def test_picard_horizon_is_a_grid_time(self, tmp_path, capsys, monkeypatch,
+                                           edit, horizon, picard_row, code):
+        cfg = washout_cfg()
+        cfg["control"].update(edit)
+        horizons = []
+        solve = crflow.cli.picard_solve
+        monkeypatch.setattr(crflow.cli, "picard_solve", lambda *args: (
+            horizons.append(args[1]) or solve(*args)))
+        assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == code
+        assert horizons == [horizon]
+        out = capsys.readouterr().out
+        if picard_row is None:
+            assert "horizon must be positive" in out
+        else:
+            assert f"{picard_row} scenario.json picard_vs_rk" in out
 
 
 class TestConfigErrors:
