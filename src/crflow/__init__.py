@@ -40,7 +40,7 @@ from crflow.dynamics import (
     picard_solve,
 )
 from crflow.analysis import (
-    breakeven,
+    breakevens,
     concentration,
     diagnostics,
     dissipativity_bound,

@@ -46,31 +46,35 @@ def concentration(mu: DiscreteMeasure):
     return winner, flat_distance(normalized, dirac(mu.space, winner))
 
 
-def breakeven(rates: VitalRates, i: int, S_max: float) -> float | None:
-    """Substrate level where uptake meets mortality for one strategy.
+def breakevens(rates: VitalRates, S_max: float) -> list:
+    """Substrate level where uptake meets mortality, for every strategy.
 
-    Bisection on [0, S_max]; None when there is no sign change (the
-    strategy cannot persist at any attainable substrate level). Under the
-    admissibility assumptions the difference is monotone, so the root is
-    unique when it exists.
+    Bisection on [0, S_max], all atoms at once: an atom's midpoint, stopping
+    rule and result are those of its own scalar bisection, and it drops out
+    of the active set once its bracket is narrower than BREAKEVEN_TOL. An
+    entry is None when there is no sign change (the strategy cannot persist
+    at any attainable substrate level). Under the admissibility assumptions
+    the difference is monotone, so the root is unique when it exists.
     """
-
-    def f(S):
-        return float(rates.uptake_values(S)[i] - rates.mortality_values(S)[i])
-
-    lo, hi = 0.0, float(S_max)
-    flo, fhi = f(lo), f(hi)
-    if flo > 0:
-        return lo
-    if fhi < 0 or flo == fhi == 0:
-        return None if fhi < 0 else lo
-    while hi - lo > BREAKEVEN_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    hi_end = float(S_max)
+    f_lo = rates.uptake_values(0.0) - rates.mortality_values(0.0)
+    f_hi = rates.uptake_values(hi_end) - rates.mortality_values(hi_end)
+    atoms = np.flatnonzero(~(f_lo > 0) & ~(f_hi < 0) & ~((f_lo == 0) & (f_hi == 0)))
+    lo = np.zeros(atoms.size)
+    hi = np.full(atoms.size, hi_end)
+    active = np.flatnonzero(hi - lo > BREAKEVEN_TOL)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        at = (np.arange(active.size), atoms[active])
+        below = rates.uptake_values(mid)[at] - rates.mortality_values(mid)[at] < 0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > BREAKEVEN_TOL]
+    out = [0.0 if fl > 0 or not fh < 0 else None
+           for fl, fh in zip(f_lo.tolist(), f_hi.tolist())]
+    for i, root in zip(atoms.tolist(), (0.5 * (lo + hi)).tolist()):
+        out[i] = root
+    return out
 
 
 def mass_balance_residual(traj: Trajectory, rates: VitalRates) -> float:
@@ -137,9 +141,6 @@ def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
     winner = dist = None
     if np.all(final.mu.weights >= 0) and final.mu.total_mass() > 0:
         winner, dist = concentration(final.mu)
-    breakevens = [
-        breakeven(rates, i, rates.clamp) for i in range(traj.space.size)
-    ]
     return DiagnosticsReport(
         dissipativity_bound=bound,
         mass_bound=max(float(M[0]), bound),
@@ -152,6 +153,6 @@ def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
         ),
         winner_atom=winner,
         concentration_distance=dist,
-        breakevens=breakevens,
+        breakevens=breakevens(rates, rates.clamp),
         clamped_weights=int(traj.metadata.get("clamped_weights", 0)),
     )

@@ -38,6 +38,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Rows of trajectory.csv formatted and written at once.
+CSV_CHUNK = 256
+
 # (class, sweep row status, exit code) of a failure; the first match wins
 _FAILURES = (
     (NumericalError, "numerical-error", EXIT_NUMERICAL),
@@ -58,16 +61,22 @@ def _fmt17(x: float) -> str:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    """A comment line with the scenario hash and version, the header, then
+    t, S, mass and the weights of each recorded state, every value as
+    _fmt17 writes it. A row is one `%` format, and rows are written
+    CSV_CHUNK at a time, so no list of the whole table is ever held."""
     n = traj.space.size
-    header = ["t", "S", "mass"] + [f"w_{i}" for i in range(n)]
+    row = ",".join(["%.17g"] * (n + 3)) + "\n"
     mass = traj.mass()
-    lines = ["# scenario_hash=%s version=%s" % (
-        traj.metadata.get("scenario_hash", ""), traj.metadata.get("version", ""))]
-    lines.append(",".join(header))
-    for k in range(len(traj)):
-        row = [traj.times[k], traj.S[k], mass[k]] + list(traj.weights[k])
-        lines.append(",".join(_fmt17(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# scenario_hash=%s version=%s\n" % (
+            traj.metadata.get("scenario_hash", ""), traj.metadata.get("version", "")))
+        fh.write(",".join(["t", "S", "mass"] + [f"w_{i}" for i in range(n)]) + "\n")
+        for start in range(0, len(traj), CSV_CHUNK):
+            part = slice(start, start + CSV_CHUNK)
+            table = np.column_stack(
+                (traj.times[part], traj.S[part], mass[part], traj.weights[part]))
+            fh.write("".join(map(row.__mod__, map(tuple, table.tolist()))))
 
 
 def write_json(path: Path, payload: dict) -> None:

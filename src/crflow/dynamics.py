@@ -106,7 +106,7 @@ def _make_rhs(rates: VitalRates, K: MutationKernel):
         B = rates.uptake_values(S)
         Dm = rates.mortality_values(S)
         dS = inflow - dilution * S - float(np.dot(B, w))
-        dw = KT @ (B * w) - Dm * w
+        dw = np.dot(KT, B * w) - Dm * w
         return dS, dw
 
     return rhs
@@ -123,17 +123,25 @@ def _rk4(rhs, S, w, dt, k1=None):
 
 
 def _clamp_weights(w, counter):
+    """w, or a copy with its entries in (-WEIGHT_CLAMP_TOL, 0) set to zero
+    and counted in counter[0]. w is one weight vector or a stack of them, one
+    per row, and counts and fails as a row at a time would: an entry at or
+    below -WEIGHT_CLAMP_TOL raises a PositivityError that names the minimum
+    of the first row holding one, after counting the rows up to it."""
     if w.min() >= 0.0:
         return w
     small = (w < 0.0) & (w > -WEIGHT_CLAMP_TOL)
+    bad = np.atleast_2d(w <= -WEIGHT_CLAMP_TOL).any(axis=1)
+    if np.any(bad):
+        first = int(bad.argmax())
+        counter[0] += int(np.atleast_2d(small)[:first + 1].sum())
+        raise PositivityError(
+            f"weight {float(np.atleast_2d(w)[first].min())!r} below "
+            f"-{WEIGHT_CLAMP_TOL}; positivity should hold for cone initial data"
+        )
     if np.any(small):
         w = np.where(small, 0.0, w)
         counter[0] += int(small.sum())
-    if np.any(w <= -WEIGHT_CLAMP_TOL):
-        raise PositivityError(
-            f"weight {float(w.min())!r} below -{WEIGHT_CLAMP_TOL}; "
-            "positivity should hold for cone initial data"
-        )
     return w
 
 
@@ -362,7 +370,7 @@ def picard_solve(
                 f"picard iteration did not converge in {PICARD_MAX_ITER} steps "
                 f"(last contraction ratio {ratio!r})"
             )
-        W_arr = np.vstack([_clamp_weights(w, clamped) for w in W_arr])
+        W_arr = _clamp_weights(W_arr, clamped)
         all_times.append(t_offset + tau[1:])
         all_S.append(S_arr[1:])
         all_W.append(W_arr[1:])

@@ -17,7 +17,7 @@ import numpy as np
 
 from crflow.errors import DimensionError, NumericalError
 from crflow.simplex import solve_lp
-from crflow.space import StrategySpace, detour_lengths
+from crflow.space import StrategySpace
 
 # Relative tolerance of the flat-norm certificate.
 CERT_TOL = 1e-12
@@ -104,7 +104,7 @@ def bl_norm_fn(g: AtomFunction) -> float:
     return sup + lip
 
 
-def _arcs(metric: np.ndarray):
+def _arcs(space: StrategySpace):
     """(i, j) of the arcs i -> j, in row-major order, that the flow needs.
 
     An arc goes when some k has d_ik + d_kj <= d_ij (1 + DETOUR_SLACK): its
@@ -113,16 +113,17 @@ def _arcs(metric: np.ndarray):
     unless some distance is within the slack of zero against the largest;
     such a metric keeps every arc.
     """
-    n = metric.shape[0]
-    keep = ~np.eye(n, dtype=bool)
+    metric = space.metric
+    keep = ~np.eye(space.size, dtype=bool)
     off = metric[keep]
     if off.size and off.min() > DETOUR_SLACK * off.max():
-        keep &= detour_lengths(metric) > metric * (1.0 + DETOUR_SLACK)
+        keep &= space.detours > metric * (1.0 + DETOUR_SLACK)
     return np.nonzero(keep)
 
 
-def _flow_lp(weights: np.ndarray, metric: np.ndarray):
-    """(c, A, b, basis) of the flow form of the flat norm of a weight vector.
+def _flow_lp(weights: np.ndarray, space: StrategySpace):
+    """(c, A, b, basis) of the flow form of the flat norm of a weight vector
+    on the atoms of space.
 
     Columns: created mass a+ and a- (n each), one flow pi_ij per arc of
     `_arcs`, the value t and the slacks of its two bounds. Rows: a+_i -
@@ -131,7 +132,8 @@ def _flow_lp(weights: np.ndarray, metric: np.ndarray):
     basis creates every weight where it sits, with t = sigma_L = ||w||_1.
     """
     n = weights.shape[0]
-    i, j = _arcs(metric)
+    metric = space.metric
+    i, j = _arcs(space)
     atoms = np.arange(n)
     arcs = 2 * n + np.arange(i.size)
     t = 2 * n + i.size
@@ -180,7 +182,7 @@ def bl_dual_norm(mu: DiscreteMeasure) -> float:
     # [1/2, 1): exact, and every LP then has the scale its tolerances assume.
     exponent = int(np.frexp(np.abs(mu.weights).max())[1])
     w = np.ldexp(mu.weights, -exponent)
-    c, A, b, basis = _flow_lp(w, mu.space.metric)
+    c, A, b, basis = _flow_lp(w, mu.space)
     value, x, y = solve_lp(c, A, b, basis)
     f = AtomFunction(mu.space, y[:w.size])
     checks = (

@@ -54,13 +54,6 @@ class UptakeSpec:
                 raise ConfigError("half-saturation a must be positive")
         return cls(family=family, b=bv, a=av)
 
-    def values(self, S) -> np.ndarray:
-        if not isinstance(S, float):
-            S = np.asarray(S, dtype=float)[..., None]
-        if self.family == "monod":
-            return self.b * S / (self.a + S)
-        return self.b * S
-
 
 @dataclass(frozen=True)
 class MortalitySpec:
@@ -81,16 +74,6 @@ class MortalitySpec:
             if np.any(cv < 0):
                 raise ConfigError("decreasing mortality needs c >= 0")
         return cls(family=family, d0=d0v, c=cv)
-
-    def values(self, S) -> np.ndarray:
-        scalar = isinstance(S, float)
-        if not scalar:
-            S = np.asarray(S, dtype=float)[..., None]
-        if self.family == "decreasing":
-            return self.d0 + self.c / (1.0 + S)
-        if scalar:
-            return self.d0.copy()
-        return np.broadcast_to(self.d0, S.shape[:-1] + self.d0.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -116,22 +99,42 @@ class VitalRates:
         if self.clamp is not None and self.clamp <= 0:
             raise ConfigError("truncation level must be positive")
 
-    def _clamped(self, S):
-        if self.clamp is None:
-            return S
-        if isinstance(S, float):
-            # Same IEEE result as np.clip, -0.0 and NaN included, at a
-            # fraction of its cost on the scalar S of every RK4 stage.
-            return min(max(S, 0.0), self.clamp)
-        return np.clip(S, 0.0, self.clamp)
+    # Every right-hand side evaluates both rates, so each is one frame: the
+    # clamp, then the closed form. A Python float S, the substrate of every
+    # RK4 stage, is clamped with min/max, the same IEEE result as np.clip
+    # (-0.0 and NaN included) at a fraction of its cost.
 
     def uptake_values(self, S) -> np.ndarray:
         """B(S, .) over all atoms; S may be a scalar or an array."""
-        return self.uptake.values(self._clamped(S))
+        clamp, up = self.clamp, self.uptake
+        if isinstance(S, float):
+            if clamp is not None:
+                S = min(max(S, 0.0), clamp)
+        else:
+            S = np.asarray(S, dtype=float)
+            if clamp is not None:
+                S = np.clip(S, 0.0, clamp)
+            S = S[..., None]
+        if up.family == "monod":
+            return up.b * S / (up.a + S)
+        return up.b * S
 
     def mortality_values(self, S) -> np.ndarray:
         """D(S, .) over all atoms; S may be a scalar or an array."""
-        return self.mortality.values(self._clamped(S))
+        clamp, mo = self.clamp, self.mortality
+        if isinstance(S, float):
+            if mo.family == "constant":
+                return mo.d0.copy()
+            if clamp is not None:
+                S = min(max(S, 0.0), clamp)
+        else:
+            S = np.asarray(S, dtype=float)
+            if mo.family == "constant":
+                return np.broadcast_to(mo.d0, S.shape + mo.d0.shape).copy()
+            if clamp is not None:
+                S = np.clip(S, 0.0, clamp)
+            S = S[..., None]
+        return mo.d0 + mo.c / (1.0 + S)
 
 
 def truncate(rates: VitalRates, N: float) -> VitalRates:

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -49,10 +50,21 @@ def scenario_hash(cfg: dict) -> str:
 
 
 # Readers: each converts one JSON value or raises TypeError or ValueError.
-# NaN and infinite numbers fail in every reader of numbers.
+# Readers of numbers take JSON numbers only: a string, true, false or null
+# fails, alone or inside an array, and so do NaN and infinite numbers.
+
+_NUMBER_TYPES = frozenset((int, float))
+_LIST_TYPE = frozenset((list,))
+
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool; the type lookup first, as json.load
+    makes exactly these types."""
+    return type(value) in _NUMBER_TYPES or isinstance(value, float)
+
 
 def _real(value) -> float:
-    if isinstance(value, bool):
+    if not _is_number(value):
         raise TypeError(f"expected a number, got {json.dumps(value)}")
     value = float(value)
     if not math.isfinite(value):
@@ -70,9 +82,10 @@ def _real_or_null(least=-math.inf):
 
 
 def _integer(least=None):
-    """Reader of an integral number >= least: 2.0 reads as 2; 2.5 and true fail."""
+    """Reader of an integral number >= least: 2.0 reads as 2; 2.5, "2" and
+    true fail."""
     def read(value) -> int:
-        if isinstance(value, bool) or isinstance(value, float) and _real(value) % 1:
+        if not _is_number(value) or isinstance(value, float) and _real(value) % 1:
             raise TypeError(f"expected an integer, got {json.dumps(value)}")
         if least is not None and int(value) < least:
             raise ValueError(f"expected an integer >= {least}, got {int(value)}")
@@ -86,9 +99,27 @@ def _flag(value) -> bool:
     return value
 
 
+def _numbers(value, at: str = "") -> None:
+    """Raise unless value is a number or nested lists of numbers; the error's
+    second argument is the failing entry's index path, such as "[1]"."""
+    if type(value) is list:
+        # One pass over a list of numbers or a list of lists of numbers, the
+        # shapes the schema has; entry by entry only for others or a fault.
+        rows = _LIST_TYPE.issuperset(map(type, value))
+        if _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(value) if rows
+                                        else value)):
+            return
+        for k, entry in enumerate(value):
+            _numbers(entry, f"{at}[{k}]")
+    elif not _is_number(value):
+        raise TypeError(f"expected a number, got {json.dumps(value)}", at)
+
+
 def _array(value) -> np.ndarray:
-    """Float array. A NaN or infinite entry fails, with the entry's index as
-    the error's second argument: a key path suffix such as "[1]"."""
+    """Float array of a number or nested lists of numbers. A NaN or infinite
+    entry fails, with the entry's index as the error's second argument: a
+    key path suffix such as "[1]"."""
+    _numbers(value)
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         at = np.argwhere(~np.isfinite(arr))[0]

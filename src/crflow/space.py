@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ class StrategySpace:
     metric: (n, n) symmetric distances, zero diagonal, positive off-diagonal;
     None is the Euclidean distance. A given metric is checked against the
     triangle inequality; a computed one needs no check. An error names its
-    argument first.
+    argument first. `detours` is computed at most once per space.
     """
 
     points: np.ndarray
@@ -47,12 +48,19 @@ class StrategySpace:
         off = metric[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ConfigError("metric: off-diagonal distances must be positive")
-        if given and np.any(metric > detour_lengths(metric) + 1e-12):
-            raise ConfigError("metric: violates the triangle inequality")
         points.setflags(write=False)
         metric.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "metric", metric)
+        if given and np.any(metric > self.detours + 1e-12):
+            raise ConfigError("metric: violates the triangle inequality")
+
+    @functools.cached_property
+    def detours(self) -> np.ndarray:
+        """detour_lengths of the metric, read-only."""
+        out = detour_lengths(self.metric)
+        out.setflags(write=False)
+        return out
 
     @property
     def size(self) -> int:

@@ -25,6 +25,10 @@ to check the measure-valued system against the classical n-species ODE.
 The kernel Lipschitz bound and the bullet actions of a function and of a
 kernel on a measure are the paper's estimates, written out for the tests
 that check them.
+
+`breakeven` is the scalar bisection of one atom's break-even level that
+`analysis.breakevens` replaced, and `fmt17_csv` the trajectory.csv text
+that `cli.write_trajectory_csv` wrote one `format` call per value.
 """
 
 import itertools
@@ -32,6 +36,7 @@ import math
 
 import numpy as np
 
+from crflow.analysis import BREAKEVEN_TOL
 from crflow.dynamics import Trajectory, integrate
 from crflow.errors import ConfigError, DimensionError
 from crflow.measure import DiscreteMeasure, flat_distance
@@ -493,3 +498,40 @@ def bullet_kernel(K, mu):
     """
     _same_space(K, mu)
     return DiscreteMeasure(mu.space, K.rows.T @ mu.weights)
+
+
+def breakeven(rates, i, S_max):
+    """Break-even level of atom i on [0, S_max]: a bisection on a Python
+    float that evaluates the rates of every atom at each step; None when
+    the difference has no sign change."""
+
+    def f(S):
+        return float(rates.uptake_values(S)[i] - rates.mortality_values(S)[i])
+
+    lo, hi = 0.0, float(S_max)
+    flo, fhi = f(lo), f(hi)
+    if flo > 0:
+        return lo
+    if fhi < 0 or flo == fhi == 0:
+        return None if fhi < 0 else lo
+    while hi - lo > BREAKEVEN_TOL:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def fmt17_csv(traj):
+    """trajectory.csv as text, each value by its own format(x, ".17g")."""
+    n = traj.space.size
+    header = ["t", "S", "mass"] + [f"w_{i}" for i in range(n)]
+    mass = traj.mass()
+    lines = ["# scenario_hash=%s version=%s" % (
+        traj.metadata.get("scenario_hash", ""), traj.metadata.get("version", ""))]
+    lines.append(",".join(header))
+    for k in range(len(traj)):
+        row = [traj.times[k], traj.S[k], mass[k]] + list(traj.weights[k])
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from crflow.analysis import breakeven
+from crflow.analysis import breakevens
 from crflow.dynamics import (
     StepControl,
     SystemState,
@@ -267,7 +267,7 @@ def test_09_concentration():
         4.0,
     )
     # distinct break-evens: atom 0 survives at lower substrate
-    s_star = [breakeven(rates, i, 4.0) for i in range(2)]
+    s_star = breakevens(rates, 4.0)
     assert s_star[0] < s_star[1]
     state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.3, 0.3])))
     traj = integrate(

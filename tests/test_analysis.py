@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crflow.analysis import (
-    breakeven,
+    breakevens,
     concentration,
     diagnostics,
     dissipativity_bound,
@@ -16,7 +16,7 @@ from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
 from crflow.space import StrategySpace, build_grid
 
 from conftest import random_admissible_scenario
-from oracles import compare_to_ode, reduced_ode_trajectory
+from oracles import breakeven, compare_to_ode, reduced_ode_trajectory
 
 
 def make_rates(n=1, b=1.0, a=1.0, d_family="constant", d0=0.3, c=None,
@@ -100,19 +100,72 @@ class TestBreakeven:
     def test_monod_closed_form(self):
         # b*S/(a+S) = d0 at S = a*d0/(b - d0); b = a = 1, d0 = 0.3 gives 3/7
         r = make_rates()
-        assert breakeven(r, 0, 10.0) == pytest.approx(3.0 / 7.0, abs=1e-8)
+        assert breakevens(r, 10.0)[0] == pytest.approx(3.0 / 7.0, abs=1e-8)
 
     def test_no_root_when_mortality_dominates(self):
         r = make_rates(b=0.5, d0=0.6)
-        assert breakeven(r, 0, 100.0) is None
+        assert breakevens(r, 100.0) == [None]
 
     def test_per_atom(self):
         r = make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3)
-        lo = breakeven(r, 0, 10.0)
-        hi = breakeven(r, 1, 10.0)
+        lo, hi = breakevens(r, 10.0)
         assert lo == pytest.approx(0.5 * 0.3 / 0.7, abs=1e-8)
         assert hi == pytest.approx(1.5 * 0.3 / 0.7, abs=1e-8)
         assert lo < hi
+
+
+# (b, a, d0, c) per atom: four ordinary roots, mortality above uptake
+# everywhere (no root), f(0) > 0 (0.0 at once), f(0) = 0 with f > 0 beyond
+# (a bisection that closes in on 0), a near-tie of uptake and mortality,
+# and, for linear uptake on [0, 10], f = 0.2 * 5 - 1 = 0 exactly at the
+# first midpoint.
+BREAKEVEN_ATOMS = [
+    (1.0, 1.0, 0.3, 0.1), (0.7, 0.6, 0.2, 0.0), (1.3, 2.0, 0.4, 0.3),
+    (2.0, 0.5, 0.9, 0.05), (0.5, 1.0, 50.0, 0.2), (1.0, 1.0, -0.2, 0.1),
+    (1.0, 1.0, 0.0, 0.0), (1.0, 1e-3, 0.999, 0.0), (0.2, 1.0, 1.0, 0.0),
+]
+
+
+class TestBreakevensMatchScalarBisection:
+    """breakevens equals, bit for bit, one scalar bisection per atom."""
+
+    @pytest.mark.parametrize("family,d_family", [
+        ("monod", "constant"), ("monod", "decreasing"),
+        ("linear", "constant"), ("linear", "decreasing"),
+    ])
+    @pytest.mark.parametrize("clamp", [None, 2.5])
+    @pytest.mark.parametrize("S_max", [0.0, 2.5, 10.0, 1e-11])
+    def test_bitwise_equal(self, family, d_family, clamp, S_max):
+        b, a, d0, c = (list(col) for col in zip(*BREAKEVEN_ATOMS))
+        n = len(b)
+        r = VitalRates(
+            inflow=1.0, dilution=1.0,
+            uptake=UptakeSpec.build(family, n, b, a=a),
+            mortality=MortalitySpec.build(
+                d_family, n, d0, c=c if d_family == "decreasing" else None),
+        )
+        if clamp is not None:
+            r = truncate(r, clamp)
+        got = breakevens(r, S_max)
+        want = [breakeven(r, i, S_max) for i in range(n)]
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert [None if x is None else x.hex() for x in got] == \
+            [None if x is None else x.hex() for x in want]
+        if S_max == 0.0:
+            # f is zero at both ends of [0, 0] for the atom with d0 = c = 0
+            assert got[6] == 0.0
+
+    def test_cases_are_covered(self):
+        n = len(BREAKEVEN_ATOMS)
+        b, a, d0, c = (list(col) for col in zip(*BREAKEVEN_ATOMS))
+        r = truncate(VitalRates(
+            inflow=1.0, dilution=1.0, uptake=UptakeSpec.build("monod", n, b, a=a),
+            mortality=MortalitySpec.build("decreasing", n, d0, c=c)), 2.5)
+        got = breakevens(r, 10.0)
+        assert got[4] is None
+        assert got[5] == 0.0
+        assert 0.0 < got[6] < 1e-9
+        assert all(0.0 < x < 2.5 for x in got[:4])
 
 
 class TestUnification:

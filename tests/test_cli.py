@@ -20,6 +20,9 @@ from crflow.cli import main, run_checks
 from crflow.dynamics import StepControl, integrate, picard_solve
 from crflow.errors import ConfigError, ValidationError
 from crflow.scenario import build_scenario, load_config, run, scenario_hash
+from crflow.space import build_grid
+
+from oracles import fmt17_csv
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -146,6 +149,26 @@ class TestSimulate:
             outs.append(out)
         for fname in ("trajectory.csv", "diagnostics.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_csv_bytes_match_a_format_per_value(self, tmp_path):
+        # -0.0, the least subnormal, 1e308 and 17-digit values, over more
+        # rows than one chunk holds; no sum of a row's values overflows
+        rng = np.random.default_rng(13)
+        k, n = 2 * crflow.cli.CSV_CHUNK + 3, 4
+        W = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-300, 300, (k, n))
+        W[0] = [-0.0, 5e-324, -5e-324, 1e308]
+        W[1] = [0.1, 1 / 3, 2 / 3, 123456789.01234567]
+        W[-1] = [2.2250738585072014e-308, -1e308, 9007199254740993.0, 0.0]
+        S = rng.random(k) * 10.0 ** rng.integers(-20, 20, k)
+        S[:2] = [-0.0, 5e-324]
+        traj = crflow.dynamics.Trajectory(
+            build_grid(1, [(0.0, 1.0)], [n]), np.linspace(0.0, 1.0, k), S, W,
+            {"scenario_hash": "abc", "version": "9"})
+        path = tmp_path / "trajectory.csv"
+        crflow.cli.write_trajectory_csv(path, traj)
+        assert path.read_bytes() == fmt17_csv(traj).encode("utf-8")
+        assert path.read_text().splitlines()[2] == (
+            "0,-0,1e+308,-0,4.9406564584124654e-324,-4.9406564584124654e-324,1e+308")
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = washout_cfg()
@@ -556,6 +579,27 @@ class TestConfigErrors:
         (lambda cfg: cfg.update(kernel={"matrix": [[0.6, 0.5], [0.5, 0.5]]}),
          "kernel.matrix: row 0 sums to 1.1"),
         (lambda cfg: cfg.update(allow_invalid_rates="false"), "allow_invalid_rates: "),
+        # JSON numbers only: a string, true, false or null is no number,
+        # alone or in an array
+        (lambda cfg: cfg["rates"].update(inflow="1.5"),
+         'rates.inflow: expected a number, got "1.5"'),
+        (lambda cfg: cfg.update(seed="7"), 'seed: expected an integer, got "7"'),
+        (lambda cfg: cfg.update(truncation="5"), 'truncation: expected a number, got "5"'),
+        (lambda cfg: cfg["rates"]["uptake"].update(b=True),
+         "rates.uptake.b: expected a number, got true"),
+        (lambda cfg: cfg["rates"]["uptake"].update(b=[1.0, False]),
+         "rates.uptake.b[1]: expected a number, got false"),
+        (lambda cfg: cfg["rates"]["mortality"].update(d0="0.3"),
+         'rates.mortality.d0: expected a number, got "0.3"'),
+        (lambda cfg: cfg["rates"]["uptake"].update(
+            b={"affine": {"const": 1.0, "slope": [None]}}),
+         "rates.uptake.b.affine.slope[0]: expected a number, got null"),
+        (lambda cfg: cfg["initial"].update(weights=[0.3, None]),
+         "initial.weights[1]: expected a number, got null"),
+        (lambda cfg: cfg["initial"].update(weights=[0.3, "0.3"]),
+         'initial.weights[1]: expected a number, got "0.3"'),
+        (lambda cfg: cfg["space"]["grid"].update(bounds=[[0.0, True]]),
+         "space.grid.bounds[0][1]: expected a number, got true"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_exits_2_with_one_json_error(self, tmp_path, capsys, edit, where,
@@ -581,6 +625,8 @@ class TestConfigErrors:
         "control.lambda", "kernel.width",
     ])
     def test_ill_typed_scalar_names_its_key(self, tmp_path, capsys, key):
+        expected = ("an integer, got" if key == "control.record_every"
+                    else "a number, got")
         cfg = washout_cfg()
         cfg["kernel"] = {"family": "gaussian", "width": 0.5}
         cfg["control"]["t_end"] = 0.01
@@ -594,8 +640,7 @@ class TestConfigErrors:
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
         assert err["type"] == "ConfigError"
-        assert err["message"].startswith(f"{key}: ")
-        assert "'x'" in err["message"]
+        assert err["message"] == f'{key}: expected {expected} "x"'
 
         cfg["sweep"] = {key: ["x"]}
         out = tmp_path / "sweep"
@@ -606,12 +651,15 @@ class TestConfigErrors:
         assert f'"{key}: ' in row
 
     @pytest.mark.parametrize("weights, where", [
-        ([[0, "x"]], "weights: "),
+        ([[0, "x"]], 'weights[0][1]: expected a number, got "x"'),
         (3, "weights: "),
         ([[0]], "weights: "),
         ([[0.5, 1.0]], "weights[0][0]: expected an atom index in 0..1, got 0.5"),
         ([[1, 1.0], [2, 1.0]], "weights[1][0]: expected an atom index in 0..1, got 2"),
-    ], ids=["weights0", "3", "weights2", "fractional_index", "index_out_of_range"])
+        ([[0, 1.0], [1, True]], "weights[1][1]: expected a number, got true"),
+        ([[0, 1.0], [None, 1.0]], "weights[1][0]: expected a number, got null"),
+    ], ids=["weights0", "3", "weights2", "fractional_index", "index_out_of_range",
+            "bool_weight", "null_index"])
     def test_bad_measure_file_exits_2(self, tmp_path, capsys, weights, where):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({

@@ -446,6 +446,45 @@ class TestStepChecks:
         with pytest.raises(PositivityError, match=r"^weight -1e-06 below"):
             _clamp_weights(np.array([0.5, -1e-12, -1e-6]), [0])
 
+    @staticmethod
+    def row_at_a_time(W, counter):
+        """A Picard window clamped one row at a time, as the window once was."""
+        out = []
+        for w in W:
+            if w.min() < 0.0:
+                small = (w < 0.0) & (w > -1e-9)
+                w = np.where(small, 0.0, w)
+                counter[0] += int(small.sum())
+                if np.any(w <= -1e-9):
+                    raise PositivityError(
+                        f"weight {float(w.min())!r} below -1e-09; "
+                        "positivity should hold for cone initial data")
+            out.append(w)
+        return np.vstack(out)
+
+    def test_window_clamps_as_one_row_at_a_time(self):
+        W = np.array([[0.5, 0.2], [-1e-12, 0.3], [0.1, -5e-10], [0.4, 0.0]])
+        want_counter, got_counter = [2], [2]
+        want = self.row_at_a_time(W, want_counter)
+        got = _clamp_weights(W, got_counter)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got_counter == want_counter == [4]
+
+    def test_window_names_the_first_bad_row(self):
+        # row 1 is only clamped; row 2 is the first below -1e-9 and row 3
+        # is lower still, but a row-at-a-time clamp never reaches it
+        W = np.array([[0.5, 0.2], [-1e-12, 0.3], [-5e-10, -2e-6], [-1e-3, -1e-11]])
+        messages, counters = [], []
+        for clamp in (self.row_at_a_time, _clamp_weights):
+            counter = [0]
+            with pytest.raises(PositivityError) as info:
+                clamp(W, counter)
+            messages.append(str(info.value))
+            counters.append(counter)
+        assert messages[0] == messages[1]
+        assert messages[1].startswith("weight -2e-06 below -1e-09; ")
+        assert counters == [[2], [2]]
+
     def test_nonfinite_state_aborts(self):
         rates, K, _ = selection_setup()
         state0 = SystemState(1e300, DiscreteMeasure(K.space, np.array([0.2, 0.5, 0.3])))

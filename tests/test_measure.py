@@ -3,6 +3,7 @@ import pytest
 
 import crflow.kernel as kern
 import crflow.measure
+import crflow.space
 from crflow.errors import DimensionError, NumericalError
 from crflow.measure import (
     AtomFunction,
@@ -181,9 +182,9 @@ class TestArcs:
     ])
     def test_line_keeps_its_neighbour_arcs(self, n, bounds):
         sp = build_grid(1, [bounds], [n])
-        c, A, b, basis = _flow_lp(np.ones(n), sp.metric)
+        c, A, b, basis = _flow_lp(np.ones(n), sp)
         assert A.shape == (n + 2, 2 * n + 2 * (n - 1) + 3)
-        i, j = _arcs(sp.metric)
+        i, j = _arcs(sp)
         assert np.array_equal(np.abs(i - j), np.ones(2 * (n - 1)))
 
     def test_given_metric_matches_the_unpruned_lp(self):
@@ -192,17 +193,34 @@ class TestArcs:
         rng = np.random.default_rng(14)
         pts = rng.random((12, 2))
         sp = StrategySpace(pts, np.abs(pts[:, None] - pts[None]).sum(axis=-1))
-        assert _arcs(sp.metric)[0].size < 12 * 11
+        assert _arcs(sp)[0].size < 12 * 11
         for _ in range(20):
             w = rng.normal(size=sp.size)
             want = dense_solve_lp(*loop_flat_norm_lp(w, sp.metric))[0]
             assert bl_dual_norm(measure(sp, w)) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("given", [False, True])
+    def test_detours_are_computed_once_per_space(self, monkeypatch, given):
+        calls = []
+        detour_lengths = crflow.space.detour_lengths
+        monkeypatch.setattr(crflow.space, "detour_lengths",
+                            lambda d: calls.append(d.shape) or detour_lengths(d))
+        grid = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [3, 3])
+        # a given metric is checked against the triangle inequality with
+        # the detours that the flat norm then reads
+        sp = StrategySpace(grid.points, grid.metric) if given else grid
+        assert calls == ([(9, 9)] if given else [])
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            flat_distance(measure(sp, rng.random(9)), measure(sp, rng.random(9)))
+        assert calls == [(9, 9)]
+        assert not sp.detours.flags.writeable
+
     def test_distance_near_zero_keeps_every_arc(self):
         # 1e-20 + 1 rounds to 1, so each arc to atom 2 has a detour as long
         # as itself through the other atom, and pruning would cut atom 2 off
         sp = StrategySpace(np.array([[0.0], [1e-20], [1.0]]))
-        assert _arcs(sp.metric)[0].size == 6
+        assert _arcs(sp)[0].size == 6
         assert flat_distance(dirac(sp, 0), dirac(sp, 2)) == pytest.approx(2 / 3, rel=1e-12)
 
 
