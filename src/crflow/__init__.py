@@ -22,15 +22,12 @@ from crflow.kernel import (
     MutationKernel,
     local_mutation_kernel,
     pure_selection_kernel,
-    validate_stochastic,
 )
 from crflow.rates import (
     MortalitySpec,
     UptakeSpec,
     VitalRates,
-    mortality_floor,
     truncate,
-    validate_assumptions,
 )
 from crflow.dynamics import (
     StepControl,

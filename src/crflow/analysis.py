@@ -9,7 +9,7 @@ import numpy as np
 from crflow.errors import ConfigError, ValidationError
 from crflow.dynamics import Trajectory
 from crflow.measure import DiscreteMeasure, dirac, flat_distance
-from crflow.rates import VitalRates, mortality_floor
+from crflow.rates import VitalRates
 
 # Bisection stops once the bracket is narrower than this.
 BREAKEVEN_TOL = 1e-10
@@ -18,12 +18,11 @@ BREAKEVEN_TOL = 1e-10
 def dissipativity_bound(rates: VitalRates) -> float:
     """Eventual mass bound inflow / min{dilution, 1, mortality floor}.
 
-    The floor is sampled on [0, N] for the truncation level N = rates.clamp,
-    so it matches what the dynamics can actually see.
+    The floor is rates.assumptions.floor, sampled on [0, N] for the
+    truncation level N = rates.clamp, so it matches what the dynamics can
+    actually see.
     """
-    if rates.clamp is None:
-        raise ConfigError("dissipativity bound needs truncated rates")
-    floor = mortality_floor(rates, rates.clamp)
+    floor = rates.assumptions.floor
     if floor <= 0:
         raise ValidationError(f"mortality floor {floor!r} is not positive")
     return rates.inflow / min(rates.dilution, 1.0, floor)
@@ -77,20 +76,19 @@ def breakevens(rates: VitalRates, S_max: float) -> list:
     return out
 
 
-def mass_balance_residual(traj: Trajectory, rates: VitalRates) -> float:
+def mass_balance_residual(traj: Trajectory, rates: VitalRates) -> float | None:
     """Largest relative conservation residual at interior points.
 
     The fourth-order five-point difference of M(t) = S + total mass,
     (M[k-2] - 8 M[k-1] + 8 M[k+1] - M[k+2]) / (12 dt), against the analytic
     balance inflow - dilution*S - mu[D(S,.)]; the birth terms cancel
     because kernel rows have unit mass. Its own error scales as dt^4, as
-    RK4's does. 0.0 below 5 points.
+    RK4's does. None, as the stencil does not apply, below 5 points or on a
+    non-uniform time grid.
     """
-    if len(traj) < 5:
-        return 0.0
     t = traj.times
-    if np.abs(np.diff(t) - (t[1] - t[0])).max() > 1e-9:
-        raise ConfigError("mass balance residual needs a uniform grid")
+    if len(t) < 5 or np.abs(np.diff(t) - (t[1] - t[0])).max() > 1e-9:
+        return None
     dt = t[1] - t[0]
     M = traj.mass()
     fd = (M[:-4] - 8.0 * M[1:-3] + 8.0 * M[3:-1] - M[4:]) / (12.0 * dt)
@@ -133,10 +131,6 @@ def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
     bound = dissipativity_bound(rates)
     M = traj.mass()
     tail = max(1, int(0.1 * len(M)))
-    uniform = (
-        len(traj) >= 5
-        and np.abs(np.diff(traj.times) - (traj.times[1] - traj.times[0])).max() <= 1e-9
-    )
     final = traj.endpoint()
     winner = dist = None
     if np.all(final.mu.weights >= 0) and final.mu.total_mass() > 0:
@@ -148,9 +142,7 @@ def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
         limsup_proxy=float(M[-tail:].max()),
         min_weight_observed=float(traj.weights.min()),
         min_substrate_observed=float(traj.S.min()),
-        mass_balance_max_residual=(
-            mass_balance_residual(traj, rates) if uniform else None
-        ),
+        mass_balance_max_residual=mass_balance_residual(traj, rates),
         winner_atom=winner,
         concentration_distance=dist,
         breakevens=breakevens(rates, rates.clamp),

@@ -27,6 +27,7 @@ from crflow.measure import flat_distance
 from crflow.scenario import (
     Scenario,
     build_scenario,
+    check_sweep_path,
     load_config,
     load_measure_file,
     run,
@@ -214,8 +215,10 @@ def cmd_flatnorm(args) -> int:
 def _set_path(cfg: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = cfg
-    for key in keys[:-1]:
+    for depth, key in enumerate(keys[:-1], 1):
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep.{dotted}: {'.'.join(keys[:depth])} is not an object")
     node[keys[-1]] = value
 
 
@@ -256,9 +259,9 @@ def cmd_sweep(args) -> int:
     for name in names:       # checked before any child runs
         if not isinstance(sweep_spec[name], list) or not sweep_spec[name]:
             raise ConfigError(f"sweep.{name}: expected a non-empty list of values")
+        check_sweep_path(name)
     grids = [sweep_spec[name] for name in names]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = []
     combos = list(itertools.product(*grids))
     for index, values in enumerate(combos):
@@ -266,6 +269,7 @@ def cmd_sweep(args) -> int:
         for name, value in zip(names, values):
             _set_path(cfg, name, value)
         tasks.append((index, cfg, str(out / f"run_{index:04d}")))
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -29,7 +29,6 @@ from crflow.rates import (
     VitalRates,
     default_truncation_level,
     truncate,
-    validate_assumptions,
 )
 from crflow.space import StrategySpace
 
@@ -316,7 +315,9 @@ def picard_solve(
             default_truncation_level(rates, state0.S, state0.mu.total_mass()),
         )
     space = state0.space
-    rep = validate_assumptions(rates, space, rates.clamp)
+    if rates.uptake.b.shape != (space.size,):
+        raise ConfigError("rate coefficients do not match the atom count")
+    rep = rates.assumptions
     d_eff = min(rates.dilution, 1.0, max(rep.floor, 1e-12))
     mass_bound = max(state0.total_mass(), rates.inflow / d_eff)
     n_windows = max(1, int(math.ceil(T / 1.0 - 1e-12)))

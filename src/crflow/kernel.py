@@ -32,12 +32,17 @@ class MutationKernel:
             raise DimensionError(
                 f"kernel shape {rows.shape} does not match {n} atoms"
             )
-        report = validate_stochastic(rows)
-        if (report.negative_entries or not np.isfinite(report.max_row_sum_error)
-                or report.messages and not self.renormalize):
-            raise ConfigError(report.messages[0])
-        if self.renormalize:
+        # First fault wins; renormalize forgives only a finite row sum.
+        for bad, what in ((~np.isfinite(rows), "non-finite"), (rows < 0, "negative")):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ConfigError(f"{what} entry {float(rows[i, j])!r} at ({i}, {j})")
+        with np.errstate(over="ignore"):        # an inf sum is reported below
             sums = rows.sum(axis=1)
+        off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+        if off.size and not (self.renormalize and np.isfinite(sums).all()):
+            raise ConfigError(f"row {off[0]} sums to {float(sums[off[0]])!r}")
+        if self.renormalize:
             if np.any(sums <= 0):
                 raise ConfigError("cannot renormalize a zero row")
             rows = rows / sums[:, None]
@@ -62,37 +67,3 @@ def local_mutation_kernel(space: StrategySpace, width: float) -> MutationKernel:
         logw = -(space.metric ** 2) / scale
     rows = np.exp(logw)
     return MutationKernel(space, rows / rows.sum(axis=1)[:, None])
-
-
-@dataclass(frozen=True)
-class StochasticityReport:
-    ok: bool
-    max_row_sum_error: float
-    negative_entries: tuple
-    messages: tuple
-
-
-def validate_stochastic(rows) -> StochasticityReport:
-    """Report non-finite and negative entries and row-sum deviations beyond
-    tolerance; max_row_sum_error is not finite when an entry is not."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    messages = [
-        f"non-finite entry {float(rows[i, j])!r} at ({i}, {j})"
-        for i, j in zip(*np.nonzero(~np.isfinite(rows)))
-    ]
-    negs = [
-        (int(i), int(j)) for i, j in zip(*np.nonzero(rows < 0))
-    ]
-    for i, j in negs:
-        messages.append(f"negative entry {float(rows[i, j])!r} at ({i}, {j})")
-    sums = rows.sum(axis=1)
-    err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-    for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        messages.append(f"row {int(i)} sums to {float(sums[i])!r}")
-    ok = not messages
-    return StochasticityReport(
-        ok=ok,
-        max_row_sum_error=err,
-        negative_entries=tuple(negs),
-        messages=tuple(messages),
-    )

@@ -3,22 +3,22 @@
 Uptake B(S, q) must vanish at S = 0, be nondecreasing in S, and Lipschitz
 uniformly over strategies. Mortality D(S, q) must be nonincreasing in S
 with a positive floor (inherent mortality). Families are closed forms with
-per-atom coefficients; validation samples the closed forms numerically.
+per-atom coefficients; VitalRates.assumptions samples the closed forms once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from crflow.errors import ConfigError
-from crflow.space import StrategySpace
 
 UPTAKE_FAMILIES = ("monod", "linear")
 MORTALITY_FAMILIES = ("constant", "decreasing")
-# Substrate levels, evenly spaced on [0, S_max], at which the closed forms
-# are sampled for validation and the mortality floor.
+# Substrate levels, evenly spaced on [0, clamp], at which the closed forms
+# are sampled for VitalRates.assumptions.
 RATE_SAMPLES = 256
 
 
@@ -77,6 +77,17 @@ class MortalitySpec:
 
 
 @dataclass(frozen=True)
+class RateValidationReport:
+    ok: bool
+    messages: tuple
+    floor: float
+    uptake_sup: float
+    uptake_lip: float
+    mortality_sup: float
+    mortality_lip: float
+
+
+@dataclass(frozen=True)
 class VitalRates:
     """Inflow, dilution, and the per-strategy rate families.
 
@@ -98,6 +109,44 @@ class VitalRates:
             raise ConfigError("dilution must be positive")
         if self.clamp is not None and self.clamp <= 0:
             raise ConfigError("truncation level must be positive")
+
+    @functools.cached_property
+    def assumptions(self) -> RateValidationReport:
+        """Sampled admissibility checks on [0, clamp], computed at most once.
+
+        Checks uptake monotonicity and zero at S = 0, positivity for S > 0,
+        mortality monotonicity and a positive floor, and estimates uniform
+        Lipschitz constants of both families by finite differences.
+        """
+        if self.clamp is None:
+            raise ConfigError("rate assumptions need truncated rates")
+        grid = np.linspace(0.0, self.clamp, RATE_SAMPLES)
+        B = self.uptake_values(grid)     # (samples, n)
+        D = self.mortality_values(grid)
+        messages = []
+        if np.any(np.abs(B[0]) > 0):
+            messages.append("uptake does not vanish at S = 0")
+        if np.any(B[1:] <= 0):
+            messages.append("uptake must be positive for S > 0")
+        dB = np.diff(B, axis=0)
+        if np.any(dB < -1e-12):
+            messages.append("uptake is not nondecreasing in S")
+        dD = np.diff(D, axis=0)
+        if np.any(dD > 1e-12):
+            messages.append("mortality is not nonincreasing in S")
+        floor = float(D.min())
+        if floor <= 0:
+            messages.append(f"mortality floor {floor!r} is not positive")
+        h = grid[1] - grid[0]
+        return RateValidationReport(
+            ok=not messages,
+            messages=tuple(messages),
+            floor=floor,
+            uptake_sup=float(np.abs(B).max()),
+            uptake_lip=float(np.abs(dB).max()) / h,
+            mortality_sup=float(np.abs(D).max()),
+            mortality_lip=float(np.abs(dD).max()) / h,
+        )
 
     # Every right-hand side evaluates both rates, so each is one frame: the
     # clamp, then the closed form. A Python float S, the substrate of every
@@ -149,65 +198,3 @@ def default_truncation_level(rates: VitalRates, S0: float, mass0: float) -> floa
     and the initial mass; bounded trajectories stay strictly inside.
     """
     return 2.0 * max(S0, rates.inflow / rates.dilution, mass0, 0.5)
-
-
-def mortality_floor(rates: VitalRates, S_max: float) -> float:
-    """Minimum mortality over a substrate sample grid and all atoms."""
-    grid = np.linspace(0.0, S_max, RATE_SAMPLES)
-    return float(rates.mortality_values(grid).min())
-
-
-@dataclass(frozen=True)
-class RateValidationReport:
-    ok: bool
-    messages: tuple
-    floor: float
-    uptake_sup: float
-    uptake_lip: float
-    mortality_sup: float
-    mortality_lip: float
-
-
-def validate_assumptions(
-    rates: VitalRates, space: StrategySpace, S_max: float
-) -> RateValidationReport:
-    """Sampled admissibility checks on [0, S_max].
-
-    Checks uptake monotonicity and zero at S = 0, positivity for S > 0,
-    mortality monotonicity and a positive floor, and estimates uniform
-    Lipschitz constants of both families by finite differences.
-    """
-    if S_max <= 0:
-        raise ConfigError("S_max must be positive")
-    n = space.size
-    if rates.uptake.b.shape[0] != n:
-        raise ConfigError("rate coefficients do not match the atom count")
-    grid = np.linspace(0.0, S_max, RATE_SAMPLES)
-    B = rates.uptake_values(grid)     # (samples, n)
-    D = rates.mortality_values(grid)
-    messages = []
-    if np.any(np.abs(B[0]) > 0):
-        messages.append("uptake does not vanish at S = 0")
-    if np.any(B[1:] <= 0):
-        messages.append("uptake must be positive for S > 0")
-    dB = np.diff(B, axis=0)
-    if np.any(dB < -1e-12):
-        messages.append("uptake is not nondecreasing in S")
-    dD = np.diff(D, axis=0)
-    if np.any(dD > 1e-12):
-        messages.append("mortality is not nonincreasing in S")
-    floor = float(D.min())
-    if floor <= 0:
-        messages.append(f"mortality floor {floor!r} is not positive")
-    h = grid[1] - grid[0]
-    b_lip = float(np.abs(dB).max()) / h
-    d_lip = float(np.abs(dD).max()) / h
-    return RateValidationReport(
-        ok=not messages,
-        messages=tuple(messages),
-        floor=floor,
-        uptake_sup=float(np.abs(B).max()),
-        uptake_lip=b_lip,
-        mortality_sup=float(np.abs(D).max()),
-        mortality_lip=d_lip,
-    )

@@ -39,7 +39,6 @@ from crflow.rates import (
     VitalRates,
     default_truncation_level,
     truncate,
-    validate_assumptions,
 )
 from crflow.space import StrategySpace, build_grid
 
@@ -116,11 +115,14 @@ def _numbers(value, at: str = "") -> None:
 
 
 def _array(value) -> np.ndarray:
-    """Float array of a number or nested lists of numbers. A NaN or infinite
-    entry fails, with the entry's index as the error's second argument: a
-    key path suffix such as "[1]"."""
+    """Float array of a number or nested lists of numbers. A ragged array
+    fails; so does a NaN or infinite entry, with the entry's index as the
+    error's second argument: a key path suffix such as "[1]"."""
     _numbers(value)
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:                      # numpy's text names no key
+        raise ValueError("expected a rectangular array, got a ragged one") from None
     if not np.isfinite(arr).all():
         at = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"non-finite number {json.dumps(float(arr[tuple(at)]))}",
@@ -214,6 +216,20 @@ def _read(node, path: str, kind: str) -> dict:
         else:
             out[key] = _value(node[key], where, reader)
     return out
+
+
+def check_sweep_path(name: str) -> None:
+    """Raise a ConfigError unless the dotted key path name resolves through
+    _SCHEMA, up to a pass-through key whose builder checks the value."""
+    keys, reader = name.split("."), "scenario"
+    for depth, key in enumerate(keys):
+        if not isinstance(reader, str):
+            raise ConfigError(f"sweep.{name}: {'.'.join(keys[:depth])} is not an object")
+        reader = _SCHEMA[reader][1].get(key)
+        if reader is None:
+            raise ConfigError(f"sweep.{name}: unknown key")
+        if reader is _given:
+            break
 
 
 def load_config(path) -> dict:
@@ -338,7 +354,7 @@ def build_scenario(cfg: dict) -> Scenario:
         truncation = float(default_truncation_level(rates, S0, float(weights.sum())))
     rates = truncate(rates, truncation)
 
-    report = validate_assumptions(rates, space, truncation)
+    report = rates.assumptions
     if not report.ok and not doc.get("allow_invalid_rates", False):
         raise ValidationError(
             "rate assumptions failed: " + "; ".join(report.messages)

@@ -31,7 +31,6 @@ from crflow.rates import (
     MortalitySpec,
     UptakeSpec,
     VitalRates,
-    mortality_floor,
     truncate,
 )
 from crflow.space import StrategySpace, build_grid
@@ -76,7 +75,7 @@ def test_01_dissipativity(long_runs):
     worst_tail = -np.inf
     for sc, traj in runs:
         rates = sc["rates"]
-        d = min(rates.dilution, 1.0, mortality_floor(rates, rates.clamp))
+        d = min(rates.dilution, 1.0, rates.assumptions.floor)
         eventual = rates.inflow / d
         bound = max(sc["state0"].total_mass(), eventual)
         M = traj.mass()

@@ -17,8 +17,9 @@ import crflow.scenario
 import crflow.measure
 from crflow.analysis import diagnostics
 from crflow.cli import main, run_checks
-from crflow.dynamics import StepControl, integrate, picard_solve
+from crflow.dynamics import PICARD_NODES, StepControl, integrate, picard_solve
 from crflow.errors import ConfigError, ValidationError
+from crflow.rates import RATE_SAMPLES, VitalRates
 from crflow.scenario import build_scenario, load_config, run, scenario_hash
 from crflow.space import build_grid
 
@@ -312,6 +313,32 @@ class TestFlatnorm:
         assert capsys.readouterr().out == "0.666666666667\n"
 
 
+class TestRateSampling:
+    """The truncated rates are sampled on their RATE_SAMPLES grid once per
+    run, whatever reads their assumptions."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "desk_chemostat"),         # rk4
+        ("simulate", "picard_chemostat"),
+        ("check", "washout"),
+    ])
+    def test_rate_grid_is_sampled_once(self, tmp_path, monkeypatch, command, name):
+        # a Picard window's PICARD_NODES + 1 points are not the rate grid
+        assert PICARD_NODES + 1 != RATE_SAMPLES
+        calls = []
+        for method in ("uptake_values", "mortality_values"):
+            def counted(rates, S, original=getattr(VitalRates, method), method=method):
+                if np.shape(S) == (RATE_SAMPLES,):
+                    calls.append(method)
+                return original(rates, S)
+            monkeypatch.setattr(VitalRates, method, counted)
+        argv = [command, "--scenario", str(SCENARIOS / f"{name}.json")]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert sorted(calls) == ["mortality_values", "uptake_values"]
+
+
 class TestSweep:
     def test_inflow_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -600,6 +627,11 @@ class TestConfigErrors:
          'initial.weights[1]: expected a number, got "0.3"'),
         (lambda cfg: cfg["space"]["grid"].update(bounds=[[0.0, True]]),
          "space.grid.bounds[0][1]: expected a number, got true"),
+        # a ragged array is named by its key, not by numpy's text
+        (lambda cfg: cfg["space"]["grid"].update(bounds=[[0.0, [1.0]]]),
+         "space.grid.bounds: expected a rectangular array, got a ragged one"),
+        (lambda cfg: cfg["space"]["grid"].update(bounds=[[0.0, 1.0], [0.0]]),
+         "space.grid.bounds: expected a rectangular array, got a ragged one"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_exits_2_with_one_json_error(self, tmp_path, capsys, edit, where,
@@ -721,11 +753,20 @@ class TestConfigErrors:
         assert [row.split(",")[2] for row in rows] == ["ok", "validation-error"]
         assert "rates.uptake.b: " in rows[1]
 
-    @pytest.mark.parametrize("value", [0.5, []])
-    def test_sweep_value_that_is_not_a_list_exits_2_before_any_run(
-            self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("sweep, message", [
+        ({"rates.inflow": 0.5}, "expected a non-empty list of values"),
+        ({"rates.inflow": []}, "expected a non-empty list of values"),
+        ({"rates.inflw": [0.5, 2.0]}, "unknown key"),
+        ({"initial.S.x": [0.5, 2.0]}, "initial.S is not an object"),
+        # not in the template: the schema says it holds no keys
+        ({"control.lambda.x": [0.5, 2.0]}, "control.lambda is not an object"),
+        # b is a pass-through key, so the template decides
+        ({"rates.uptake.b.affine.const": [0.5, 2.0]}, "rates.uptake.b is not an object"),
+    ], ids=["not_a_list", "empty", "unknown_key", "through_a_number",
+            "through_a_schema_number", "through_a_template_list"])
+    def test_bad_sweep_exits_2_before_any_run(self, tmp_path, capsys, sweep, message):
         cfg = load_config(SCENARIOS / "sweep_inflow.json")
-        cfg["sweep"] = {"rates.dilution": [1.0], "rates.inflow": value}
+        cfg["sweep"] = {"rates.dilution": [1.0], **sweep}
         out = tmp_path / "out"
         code = main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
                      "--out", str(out)])
@@ -733,20 +774,20 @@ class TestConfigErrors:
         assert code == 2
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
-        assert err["type"] == "ConfigError"
-        assert err["message"].startswith("sweep.rates.inflow: ")
+        (path,) = sweep
+        assert (err["type"], err["message"]) == ("ConfigError", f"sweep.{path}: {message}")
         assert not out.exists()
 
-    def test_misspelled_sweep_path_fails_every_row(self, tmp_path):
+    def test_sweep_path_into_a_pass_through_key_runs(self, tmp_path):
         cfg = load_config(SCENARIOS / "sweep_inflow.json")
         cfg["control"]["t_end"] = 1.0
-        cfg["sweep"] = {"rates.inflw": [0.5, 2.0]}
-        path = write_cfg(tmp_path, cfg)
+        cfg["rates"]["uptake"]["b"] = {"affine": {"const": 1.0, "slope": [0.2]}}
+        cfg["sweep"] = {"rates.uptake.b.affine.const": [0.8, 1.2]}
         out = tmp_path / "out"
-        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+        assert main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
         rows = (out / "summary.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[2] for row in rows] == ["validation-error"] * 2
-        assert all("rates.inflw: unknown key" in row for row in rows)
+        assert [row.split(",")[2] for row in rows] == ["ok"] * 2
 
 
 def set_at(doc, where: str, value) -> None:

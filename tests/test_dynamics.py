@@ -331,6 +331,18 @@ class TestPicard:
         with pytest.raises(ConfigError):
             picard_solve(bad, 1.0, rates, K)
 
+    def test_rejects_rates_of_another_atom_count(self):
+        sp = build_grid(1, [(0.0, 1.0)], [3])
+        rates = VitalRates(
+            inflow=1.0,
+            dilution=1.0,
+            uptake=UptakeSpec.build("monod", 2, [1.0, 1.0], a=1.0),
+            mortality=MortalitySpec.build("constant", 2, 0.3),
+        )
+        state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
+        with pytest.raises(ConfigError, match="do not match the atom count"):
+            picard_solve(state0, 1.0, rates, pure_selection_kernel(sp))
+
 
 def test_mass_bound_along_trajectory(rng):
     sc = random_admissible_scenario(rng, max_atoms=8)
@@ -338,9 +350,7 @@ def test_mass_bound_along_trajectory(rng):
     traj = integrate(
         sc["state0"], 20.0, StepControl(dt=0.01), rates, sc["kernel"]
     )
-    from crflow.rates import mortality_floor
-
-    d = min(rates.dilution, 1.0, mortality_floor(rates, rates.clamp))
+    d = min(rates.dilution, 1.0, rates.assumptions.floor)
     bound = max(sc["state0"].total_mass(), rates.inflow / d)
     assert traj.mass().max() <= bound + 1e-6
 

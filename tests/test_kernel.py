@@ -6,7 +6,6 @@ from crflow.kernel import (
     MutationKernel,
     local_mutation_kernel,
     pure_selection_kernel,
-    validate_stochastic,
 )
 from crflow.measure import DiscreteMeasure, flat_distance
 from crflow.space import StrategySpace, build_grid
@@ -111,38 +110,35 @@ class TestLipschitzBound:
 class TestValidation:
     def test_identity_passes(self):
         sp = build_grid(1, [(0.0, 1.0)], [2])
-        report = validate_stochastic(pure_selection_kernel(sp).rows)
-        assert report.ok
+        assert np.array_equal(MutationKernel(sp, np.eye(2)).rows, np.eye(2))
 
-    def test_bad_row_sum(self):
-        report = validate_stochastic(np.array([[0.6, 0.5], [0.5, 0.5]]))
-        assert not report.ok
-        assert report.max_row_sum_error == pytest.approx(0.1)
-        # plain floats, so the text does not depend on the numpy version
-        assert report.messages == ("row 0 sums to 1.1",)
-
-    def test_negative_entry(self):
-        report = validate_stochastic(np.array([[-0.1, 1.1], [0.5, 0.5]]))
-        assert not report.ok
-        assert (0, 0) in report.negative_entries
-        assert "negative entry -0.1 at (0, 0)" in report.messages
-
-    def test_constructor_rejects_bad_rows(self):
+    # The first fault names the error, in the order non-finite entry,
+    # negative entry, row sum; the values print as plain floats, so the text
+    # does not depend on the numpy version.
+    @pytest.mark.parametrize("rows, renormalize, message", [
+        ([[0.6, 0.5], [0.5, 0.5]], False, "row 0 sums to 1.1"),
+        ([[0.5, 0.5], [0.3, 0.3]], False, "row 1 sums to 0.6"),
+        ([[-0.1, 1.1], [0.5, 0.5]], False, "negative entry -0.1 at (0, 0)"),
+        ([[0.5, 0.5], [1.2, -0.5]], False, "negative entry -0.5 at (1, 1)"),
+        ([[np.nan, 0.5], [0.5, 0.5]], False, "non-finite entry nan at (0, 0)"),
+        ([[0.6, -0.5], [np.inf, 0.5]], False, "non-finite entry inf at (1, 0)"),
+        # renormalizing rescues neither a negative nor a non-finite entry,
+        # nor a row whose sum overflows
+        ([[-0.1, 1.1], [0.5, 0.5]], True, "negative entry -0.1 at (0, 0)"),
+        ([[-0.5, 2.0], [0.5, 0.5]], True, "negative entry -0.5 at (0, 0)"),
+        ([[np.inf, 0.5], [0.5, 0.5]], True, "non-finite entry inf at (0, 0)"),
+        ([[1e308, 1e308], [0.5, 0.5]], True, "row 0 sums to inf"),
+        ([[0.0, 0.0], [0.5, 0.5]], True, "cannot renormalize a zero row"),
+    ])
+    def test_constructor_names_the_first_fault(self, rows, renormalize, message):
         sp = build_grid(1, [(0.0, 1.0)], [2])
-        with pytest.raises(ConfigError):
-            MutationKernel(sp, np.array([[0.6, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ConfigError):
-            MutationKernel(sp, np.array([[-0.1, 1.1], [0.5, 0.5]]))
+        with pytest.raises(ConfigError) as info:
+            MutationKernel(sp, np.array(rows), renormalize=renormalize)
+        assert str(info.value) == message
 
-    def test_non_finite_entry(self):
-        report = validate_stochastic(np.array([[np.nan, 0.5], [0.5, 0.5]]))
-        assert not report.ok
-        assert report.messages[0] == "non-finite entry nan at (0, 0)"
+    def test_rejected_before_it_divides(self):
         sp = build_grid(1, [(0.0, 1.0)], [2])
-        # renormalizing does not rescue a non-finite row
-        with pytest.raises(ConfigError, match="non-finite entry inf at"):
-            MutationKernel(sp, np.array([[np.inf, 0.5], [0.5, 0.5]]), renormalize=True)
-        # rejected before it divides: no floating-point warning
+        # no floating-point warning
         with np.errstate(all="raise"), pytest.raises(ConfigError, match="width 1e-300 is too small"):
             local_mutation_kernel(sp, 1e-300)
 

@@ -7,11 +7,8 @@ from crflow.rates import (
     UptakeSpec,
     VitalRates,
     default_truncation_level,
-    mortality_floor,
     truncate,
-    validate_assumptions,
 )
-from crflow.space import build_grid
 
 
 def make_rates(n=1, family="monod", b=1.0, a=1.0, d_family="constant",
@@ -120,40 +117,41 @@ class TestTruncation:
 
 class TestFloorAndValidation:
     def test_floor_constant(self):
-        assert mortality_floor(make_rates(d0=0.3), 4.0) == 0.3
+        assert truncate(make_rates(d0=0.3), 4.0).assumptions.floor == 0.3
 
     def test_floor_decreasing_attained_at_s_max(self):
-        r = make_rates(d_family="decreasing", d0=0.3, c=0.2)
-        assert mortality_floor(r, 4.0) == pytest.approx(0.3 + 0.2 / 5.0)
+        r = truncate(make_rates(d_family="decreasing", d0=0.3, c=0.2), 4.0)
+        assert r.assumptions.floor == pytest.approx(0.3 + 0.2 / 5.0)
 
     def test_admissible_rates_pass(self):
-        sp = build_grid(1, [(0.0, 1.0)], [2])
         r = make_rates(n=2, b=[1.0, 1.2], a=[1.0, 0.5],
                        d_family="decreasing", d0=[0.3, 0.4], c=[0.1, 0.0])
-        report = validate_assumptions(r, sp, 4.0)
+        report = truncate(r, 4.0).assumptions
         assert report.ok
         assert report.messages == ()
         assert report.floor > 0
         assert report.uptake_lip > 0
 
     def test_zero_mortality_fails(self):
-        sp = build_grid(1, [(0.0, 0.0)], [1])
-        r = make_rates(d0=0.0)
-        report = validate_assumptions(r, sp, 4.0)
+        report = truncate(make_rates(d0=0.0), 4.0).assumptions
         assert not report.ok
         assert any("floor" in m for m in report.messages)
 
-    def test_atom_count_mismatch(self):
-        sp = build_grid(1, [(0.0, 1.0)], [3])
-        with pytest.raises(ConfigError):
-            validate_assumptions(make_rates(n=2, b=[1.0, 1.0]), sp, 4.0)
-
     def test_lipschitz_estimate_monod(self):
         # slope of b*S/(a+S) at 0 is b/a; the sampled estimate is close
-        sp = build_grid(1, [(0.0, 0.0)], [1])
-        r = make_rates(b=2.0, a=0.5)
-        report = validate_assumptions(r, sp, 4.0)
+        report = truncate(make_rates(b=2.0, a=0.5), 4.0).assumptions
         assert report.uptake_lip == pytest.approx(4.0, rel=0.05)
+
+    def test_untruncated_rates_have_no_assumptions(self):
+        with pytest.raises(ConfigError, match="need truncated rates"):
+            make_rates().assumptions
+
+    def test_sampled_once_per_truncation(self):
+        r = truncate(make_rates(d_family="decreasing", d0=0.3, c=0.2), 4.0)
+        assert r.assumptions is r.assumptions
+        wider = truncate(r, 8.0)
+        assert wider.assumptions is not r.assumptions
+        assert wider.assumptions.floor == pytest.approx(0.3 + 0.2 / 9.0)
 
     def test_monotone_uptake_on_grid(self):
         r = make_rates(n=2, b=[1.0, 2.0], a=[0.5, 1.5])
