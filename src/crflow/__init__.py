@@ -27,6 +27,7 @@ from crflow.rates import (
     MortalitySpec,
     UptakeSpec,
     VitalRates,
+    dissipativity_bound,
     truncate,
 )
 from crflow.dynamics import (
@@ -40,6 +41,5 @@ from crflow.analysis import (
     breakevens,
     concentration,
     diagnostics,
-    dissipativity_bound,
 )
 from crflow.scenario import run

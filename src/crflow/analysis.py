@@ -2,30 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from crflow.errors import ConfigError, ValidationError
+from crflow.errors import ConfigError
 from crflow.dynamics import Trajectory
 from crflow.measure import DiscreteMeasure, dirac, flat_distance
-from crflow.rates import VitalRates
+from crflow.rates import VitalRates, dissipativity_bound
 
 # Bisection stops once the bracket is narrower than this.
 BREAKEVEN_TOL = 1e-10
-
-
-def dissipativity_bound(rates: VitalRates) -> float:
-    """Eventual mass bound inflow / min{dilution, 1, mortality floor}.
-
-    The floor is rates.assumptions.floor, sampled on [0, N] for the
-    truncation level N = rates.clamp, so it matches what the dynamics can
-    actually see.
-    """
-    floor = rates.assumptions.floor
-    if floor <= 0:
-        raise ValidationError(f"mortality floor {floor!r} is not positive")
-    return rates.inflow / min(rates.dilution, 1.0, floor)
 
 
 def concentration(mu: DiscreteMeasure):
@@ -117,9 +104,6 @@ class DiagnosticsReport:
     concentration_distance: float | None
     breakevens: list = field(default_factory=list)
     clamped_weights: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:

@@ -103,10 +103,8 @@ def _write_run(cfg: dict, out: Path) -> tuple:
             "weights": endpoint.mu.weights.tolist(),
             "mass": endpoint.total_mass(),
         },
-        "diagnostics": report.to_dict(),
-        "metadata": {
-            k: v for k, v in traj.metadata.items() if not isinstance(v, np.ndarray)
-        },
+        "diagnostics": dataclasses.asdict(report),
+        "metadata": traj.metadata,
     })
     return traj, report
 
@@ -272,7 +270,8 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_child, tasks))
     else:
         rows = [_sweep_child(task) for task in tasks]
@@ -292,7 +291,7 @@ def cmd_sweep(args) -> int:
                     "bound_margin"):
             v = row.get(key, "")
             cells.append(_fmt17(v) if isinstance(v, float) else str(v))
-        cells.append('"%s"' % row.get("error", "").replace('"', "'"))
+        cells.append('"%s"' % row.get("error", "").replace('"', '""'))
         lines.append(",".join(cells))
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     worst = max((row["exit_code"] for row in rows), default=EXIT_OK)

@@ -24,17 +24,12 @@ from crflow.errors import (
 )
 from crflow.kernel import MutationKernel
 from crflow.measure import DiscreteMeasure
-from crflow.rates import (
-    RateValidationReport,
-    VitalRates,
-    default_truncation_level,
-    truncate,
-)
+from crflow.rates import RateValidationReport, VitalRates, dissipativity_bound
 from crflow.space import StrategySpace
 
 WEIGHT_CLAMP_TOL = 1e-9
 MIN_ADAPTIVE_STEP = 1e-12
-MAX_ADAPTIVE_STEPS = 50_000_000
+MAX_STEPS = 50_000_000      # steps (Picard: nodes) one run may take
 PICARD_TOL = 1e-12          # sup increment between iterates that ends a window
 PICARD_NODES = 512          # trapezoid intervals per window
 PICARD_MAX_ITER = 200       # iterations per window before ConvergenceError
@@ -111,6 +106,16 @@ def _make_rhs(rates: VitalRates, K: MutationKernel):
     return rhs
 
 
+def _check_inputs(state0: SystemState, rates: VitalRates, K: MutationKernel):
+    """Raise a ConfigError unless the kernel and both rate families live on
+    the atoms of the state."""
+    if not K.space.same_as(state0.space):
+        raise ConfigError("kernel and state live on different spaces")
+    n = state0.space.size
+    if rates.uptake.b.shape != (n,) or rates.mortality.d0.shape != (n,):
+        raise ConfigError("rate coefficients do not match the atom count")
+
+
 def _rk4(rhs, S, w, dt, k1=None):
     k1S, k1w = rhs(S, w) if k1 is None else k1
     k2S, k2w = rhs(S + 0.5 * dt * k1S, w + 0.5 * dt * k1w)
@@ -158,17 +163,19 @@ def integrate(
     check, the weight clamp, then recording when the step count is a
     multiple of record_every or the step is the last. Weights drifting into
     (-1e-9, 0) are clamped to zero and counted in the metadata; larger
-    violations abort with a positivity error.
+    violations abort with a positivity error. A run takes at most MAX_STEPS
+    steps.
     """
-    if not K.space.same_as(state0.space):
-        raise ConfigError("kernel and state live on different spaces")
-    if t_end < 0:
-        raise ConfigError("t_end must be nonnegative")
+    _check_inputs(state0, rates, K)
+    if not 0.0 <= t_end < math.inf:
+        raise ConfigError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if control.method not in ("rk4", "adaptive"):
         raise ConfigError(f"unknown integrator {control.method!r}")
     dt = control.dt
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigError("dt must be positive")
+    if control.method == "rk4" and t_end / dt > MAX_STEPS:
+        raise ConfigError(f"horizon {t_end!r} needs more than MAX_STEPS steps of dt {dt!r}")
     rhs = _make_rhs(rates, K)
     clamped = [0]
     steps = 0
@@ -230,7 +237,7 @@ def integrate(
                 w = accept(S, w2, t, dt, t >= t_end - 1e-13)
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
-            if steps > MAX_ADAPTIVE_STEPS:
+            if steps > MAX_STEPS:
                 raise NumericalError("exceeded max_steps")
 
     # Deduplicate if the final step was recorded twice
@@ -299,31 +306,26 @@ def picard_solve(
     intervals; windows of length at most 1 are chained for longer horizons.
     A window ends when the sup distance between successive iterates (|dS|
     plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
+    The rates must be truncated: the operator contracts only on those.
 
     lam (None: contraction_weight_default) is not a stop rule but the weight
     of the norm sup e^(-lam*t)|.| in which the operator contracts; the
     metadata's contraction_ratio is the largest ratio of successive
     distances in that norm while they are at least PICARD_TOL.
     """
-    if T <= 0:
-        raise ConfigError("horizon must be positive")
+    if not 0.0 < T < math.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {T!r}")
     if not state0.in_cone():
         raise ConfigError("picard_solve needs cone initial data")
-    if rates.clamp is None:
-        rates = truncate(
-            rates,
-            default_truncation_level(rates, state0.S, state0.mu.total_mass()),
-        )
-    space = state0.space
-    if rates.uptake.b.shape != (space.size,):
-        raise ConfigError("rate coefficients do not match the atom count")
-    rep = rates.assumptions
-    d_eff = min(rates.dilution, 1.0, max(rep.floor, 1e-12))
-    mass_bound = max(state0.total_mass(), rates.inflow / d_eff)
+    _check_inputs(state0, rates, K)
     n_windows = max(1, int(math.ceil(T / 1.0 - 1e-12)))
+    if n_windows * PICARD_NODES > MAX_STEPS:
+        raise ConfigError(f"horizon {T!r} needs more than MAX_STEPS Picard nodes")
+    mass_bound = max(state0.total_mass(), dissipativity_bound(rates))
     Tw = T / n_windows
     if lam is None:
-        lam = contraction_weight_default(rep, rates.dilution, mass_bound, Tw)
+        lam = contraction_weight_default(rates.assumptions, rates.dilution,
+                                         mass_bound, Tw)
 
     KT_rows = K.rows  # nu = x @ rows gives nu_j = sum_i x_i rows[i, j]
     inflow, dilution = rates.inflow, rates.dilution
@@ -380,7 +382,7 @@ def picard_solve(
         t_offset += Tw
 
     return Trajectory(
-        space=space,
+        space=state0.space,
         times=np.concatenate(all_times),
         S=np.concatenate(all_S),
         weights=np.vstack(all_W),

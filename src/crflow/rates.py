@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from crflow.errors import ConfigError
+from crflow.errors import ConfigError, ValidationError
 
 UPTAKE_FAMILIES = ("monod", "linear")
 MORTALITY_FAMILIES = ("constant", "decreasing")
@@ -184,6 +184,19 @@ class VitalRates:
                 S = np.clip(S, 0.0, clamp)
             S = S[..., None]
         return mo.d0 + mo.c / (1.0 + S)
+
+
+def dissipativity_bound(rates: VitalRates) -> float:
+    """Eventual mass bound inflow / min{dilution, 1, mortality floor}.
+
+    The floor is rates.assumptions.floor, sampled on [0, N] for the
+    truncation level N = rates.clamp, so it matches what the dynamics can
+    actually see.
+    """
+    floor = rates.assumptions.floor
+    if floor <= 0:
+        raise ValidationError(f"mortality floor {floor!r} is not positive")
+    return rates.inflow / min(rates.dilution, 1.0, floor)
 
 
 def truncate(rates: VitalRates, N: float) -> VitalRates:

@@ -2,11 +2,11 @@
 
 A scenario is a single JSON document declaring the strategy space, the
 mutation kernel, the vital rates, the initial state, and integrator
-control. `_SCHEMA` declares every key of every scenario object and `_read`
-checks a document against it, NaN and infinite numbers included. Every
-output file embeds the content hash of the document as written, so reruns
-are byte-for-byte reproducible. `run` integrates a built scenario with the
-method its control names.
+control. `_SCHEMA` declares every key of every scenario object and of a
+measure file, and `_read` checks a document against it, NaN and infinite
+numbers included. Every output file embeds the content hash of the document
+as written, so reruns are byte-for-byte reproducible. `run` integrates a
+built scenario with the method its control names.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ _SCHEMA = {
     "scenario": (("space", "kernel", "rates", "initial", "control"), {
         "space": "space", "kernel": "kernel", "rates": "rates",
         "initial": "initial", "control": "control", "truncation": _real_or_null(),
-        "seed": _integer(), "sweep": _given, "allow_invalid_rates": _flag}),
+        "seed": _integer(), "sweep": _given}),
     "space": ((), {"grid": "grid", "points": _array, "metric": _array}),
     "grid": (("bounds", "counts"), {"dim": _integer(1), "bounds": _array,
                                    "counts": _counts}),
@@ -170,13 +170,14 @@ _SCHEMA = {
                                  "b": _given, "a": _given}),
     "mortality": (("family", "d0"), {"family": _choice(*MORTALITY_FAMILIES),
                                      "d0": _given, "c": _given}),
-    "coefficient": ((), {"affine": "affine"}),
+    "coefficient": (("affine",), {"affine": "affine"}),
     "affine": ((), {"const": _real, "slope": _array}),
     "initial": (("S", "weights"), {"S": _real, "weights": _array}),
     "control": (("t_end",), {
         "method": _choice("rk4", "adaptive", "picard"), "dt": _real,
         "t_end": _real, "tolerance": _real, "record_every": _integer(1),
         "lambda": _real_or_null(0)}),
+    "measure": (("space", "weights"), {"space": "space", "weights": _array}),
 }
 
 
@@ -261,9 +262,7 @@ def build_space(spec: dict, path: str = "space") -> StrategySpace:
 def _resolve_coeff(value, space: StrategySpace, name: str):
     """Scalar, per-atom list, or affine form of the atom coordinates."""
     if isinstance(value, dict):
-        aff = _read(value, name, "coefficient").get("affine")
-        if aff is None:
-            raise ConfigError(f"{name}: unknown coefficient form {value}")
+        aff = _read(value, name, "coefficient")["affine"]
         slope = aff.get("slope", np.zeros(space.dim))
         if slope.shape != (space.dim,):
             raise ConfigError(f"{name}: slope must have one entry per axis")
@@ -331,9 +330,9 @@ def build_scenario(cfg: dict) -> Scenario:
     """Validate a configuration dict and assemble the run inputs.
 
     Raises ConfigError for structural problems and ValidationError when the
-    rate assumptions fail their checks (override with
-    "allow_invalid_rates": true). The integer "seed" is a label: it enters
-    the hash and changes no computed value.
+    rate assumptions fail their checks. The truncation level is decided here
+    and nowhere else. The integer "seed" is a label: it enters the hash and
+    changes no computed value.
     """
     doc = _read(cfg, "", "scenario")
     space = build_space(doc["space"])
@@ -355,7 +354,7 @@ def build_scenario(cfg: dict) -> Scenario:
     rates = truncate(rates, truncation)
 
     report = rates.assumptions
-    if not report.ok and not doc.get("allow_invalid_rates", False):
+    if not report.ok:
         raise ValidationError(
             "rate assumptions failed: " + "; ".join(report.messages)
         )
@@ -395,11 +394,12 @@ def load_measure_file(path):
     """Measure file: a space spec plus (atom index, weight) pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "space" not in doc or "weights" not in doc:
-        raise ConfigError(f"{path}: measure file needs 'space' and 'weights'")
-    where = f"{path}: space"
-    space = build_space(_read(doc["space"], where, "space"), where)
-    pairs = _value(doc["weights"], f"{path}: weights", _array)
+    try:
+        doc = _read(doc, "", "measure")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    space = build_space(doc["space"], f"{path}: space")
+    pairs = doc["weights"]
     if pairs.size == 0:                     # no pairs: the zero measure
         pairs = np.empty((0, 2))
     elif pairs.ndim != 2 or pairs.shape[1] != 2:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,7 @@ class TestDiagnostics:
         assert report.mass_balance_max_residual is not None
         assert report.mass_balance_max_residual <= 1e-6
         assert len(report.breakevens) == sc["space"].size
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         assert set(d) >= {
             "dissipativity_bound",
             "mass_bound",

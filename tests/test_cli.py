@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,25 @@ class TestFlatnorm:
                      str(SCENARIOS / "measures" / "dirac_a.json"), str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [2]}},
+          "wieghts": [[0, 1.0]]}, "measure.wieghts: unknown key"),
+        ({"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [2]}},
+          "weights": [[0, 1.0]], "wieghts": []}, "measure.wieghts: unknown key"),
+        ({"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [2]}}},
+         "weights: required key is missing"),
+        ([], "measure: expected a JSON object"),
+    ], ids=["misspelled", "extra_key", "no_weights", "not_an_object"])
+    def test_measure_file_keys_are_checked(self, tmp_path, capsys, doc, message):
+        path = write_cfg(tmp_path, doc, "m.json")
+        code = main(["flatnorm", str(path), str(SCENARIOS / "measures" / "dirac_a.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"] == f"{path}: {message}"
+
     def test_failed_certificate_exits_3(self, monkeypatch, capsys):
         solve = crflow.measure.solve_lp
 
@@ -423,6 +443,55 @@ class TestSweep:
             cells = dict(zip(header, row))
             assert cells["status"] == "ok"
             assert json.loads(cells["kernel.matrix"]) == matrix
+
+    def test_jobs_are_capped_at_the_run_count(self, tmp_path, monkeypatch):
+        # A fork pool starts all max_workers processes at its first submit.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(crflow.cli, "ProcessPoolExecutor", SerialPool)
+        cfg = load_config(SCENARIOS / "sweep_inflow.json")
+        cfg["control"]["t_end"] = 0.1
+        cfg["sweep"] = {"rates.inflow": [0.5, 1.0]}
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out), "--jobs", "5000"]) == 0
+        assert pools == [2]
+        assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+    def test_error_cell_quotes_as_every_cell(self, tmp_path, capsys):
+        cfg = washout_cfg()
+        cfg["control"]["t_end"] = 0.1
+        cfg["sweep"] = {"rates.inflow": [1.0, "x"]}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+        text = (out / "summary.csv").read_text(encoding="utf-8")
+        assert text.splitlines()[1].endswith(',""')
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        errors = [dict(zip(header, row))["error"] for row in rows]
+
+        del cfg["sweep"]
+        cfg["rates"]["inflow"] = "x"
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(write_cfg(tmp_path, cfg, "x.json")),
+                     "--out", str(tmp_path / "x")]) == 2
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == 'rates.inflow: expected a number, got "x"'
+        assert errors == ["", message]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_io_error_fails_only_its_row(self, tmp_path, jobs):
@@ -573,7 +642,7 @@ class TestConfigErrors:
         (lambda cfg: cfg["control"].update(method="adaptive", dt=0.0),
          "dt must be positive"),
         (lambda cfg: cfg["rates"]["uptake"].update(b={}),
-         "rates.uptake.b: unknown coefficient form"),
+         "rates.uptake.b.affine: required key is missing"),
         (lambda cfg: cfg.update(seed="x"), "seed: "),
         (lambda cfg: cfg["control"].update(method="picard", **{"lambda": "x"}),
          "control.lambda: "),
@@ -605,7 +674,8 @@ class TestConfigErrors:
          "kernel.renormalize: "),
         (lambda cfg: cfg.update(kernel={"matrix": [[0.6, 0.5], [0.5, 0.5]]}),
          "kernel.matrix: row 0 sums to 1.1"),
-        (lambda cfg: cfg.update(allow_invalid_rates="false"), "allow_invalid_rates: "),
+        (lambda cfg: cfg.update(allow_invalid_rates=True),
+         "scenario.allow_invalid_rates: unknown key"),
         # JSON numbers only: a string, true, false or null is no number,
         # alone or in an array
         (lambda cfg: cfg["rates"].update(inflow="1.5"),
@@ -650,6 +720,26 @@ class TestConfigErrors:
         assert err["type"] == "ConfigError"
         assert err["exit_code"] == 2
         assert err["message"].startswith(where)
+
+    @pytest.mark.parametrize("control", [
+        {"t_end": 1e308}, {"dt": 1e-300}, {"method": "picard", "t_end": 1e308},
+    ], ids=["rk4_t_end", "rk4_dt", "picard_t_end"])
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_step_budget_exits_2_at_once(self, tmp_path, capsys, control, command):
+        cfg = washout_cfg()
+        cfg["control"].update(control)
+        argv = [command, "--scenario", str(write_cfg(tmp_path, cfg))]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert "needs more than MAX_STEPS" in err["message"]
 
     @pytest.mark.parametrize("key", [
         "rates.inflow", "rates.dilution", "initial.S", "control.dt",

@@ -13,7 +13,7 @@ from crflow.dynamics import (
     integrate,
     picard_solve,
 )
-from crflow.errors import ConfigError, NumericalError, PositivityError
+from crflow.errors import ConfigError, NumericalError, PositivityError, ValidationError
 from crflow.kernel import (
     MutationKernel,
     local_mutation_kernel,
@@ -240,14 +240,14 @@ class TestPicard:
         # one iteration, and a second iteration changes nothing
         sp, rates, K, _ = washout_setup()
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
-        traj = picard_solve(state, 1.0, rates, K)
+        traj = picard_solve(state, 1.0, truncate(rates, 2.0), K)
         assert traj.metadata["iterations"] == [2]
         # quadrature error of the trapezoid rule sets the scale here
         assert np.abs(traj.S - 1.0).max() < 1e-6
 
     def test_washout_closed_form(self):
         _, rates, K, state0 = washout_setup()
-        traj = picard_solve(state0, 1.0, rates, K)
+        traj = picard_solve(state0, 1.0, truncate(rates, 2.0), K)
         exact = 1.0 - np.exp(-traj.times)
         assert np.abs(traj.S - exact).max() < 1e-6
 
@@ -269,7 +269,7 @@ class TestPicard:
 
     def test_long_horizon_windows(self):
         sp, rates, K, state0 = single_strain()
-        traj = picard_solve(state0, 3.0, rates, K)
+        traj = picard_solve(state0, 3.0, truncate(rates, 2.0), K)
         assert traj.metadata["windows"] == 3
         assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
         rk = integrate(state0, 3.0, StepControl(dt=1e-3), rates, K)
@@ -342,6 +342,71 @@ class TestPicard:
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
         with pytest.raises(ConfigError, match="do not match the atom count"):
             picard_solve(state0, 1.0, rates, pure_selection_kernel(sp))
+
+
+def rates_on(n_uptake, n_mortality, d0=0.3):
+    return truncate(VitalRates(
+        inflow=1.0,
+        dilution=1.0,
+        uptake=UptakeSpec.build("monod", n_uptake, 1.0, a=1.0),
+        mortality=MortalitySpec.build("constant", n_mortality, d0),
+    ), 2.0)
+
+
+SOLVERS = {
+    "rk4": lambda state, T, rates, K: integrate(state, T, StepControl(), rates, K),
+    "adaptive": lambda state, T, rates, K: integrate(
+        state, T, StepControl(method="adaptive"), rates, K),
+    "picard": picard_solve,
+}
+
+
+class TestInputChecks:
+    """integrate and picard_solve check kernel, rates and horizon alike."""
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_kernel_on_another_space(self, solver):
+        _, _, _, state0 = single_strain()
+        other = build_grid(1, [(5.0, 5.0)], [1])
+        with pytest.raises(ConfigError, match="different spaces"):
+            SOLVERS[solver](state0, 1.0, rates_on(1, 1), pure_selection_kernel(other))
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["uptake", "mortality"])
+    def test_rates_of_another_atom_count(self, solver, counts):
+        sp = build_grid(1, [(0.0, 1.0)], [3])
+        state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
+        with pytest.raises(ConfigError, match="do not match the atom count"):
+            SOLVERS[solver](state0, 1.0, rates_on(*counts), pure_selection_kernel(sp))
+
+    def test_picard_needs_truncated_rates(self):
+        _, rates, K, state0 = single_strain()
+        with pytest.raises(ConfigError, match="need truncated rates"):
+            picard_solve(state0, 1.0, rates, K)
+
+    @pytest.mark.parametrize("d0", [0.0, -0.1])
+    def test_picard_needs_a_positive_mortality_floor(self, d0):
+        _, _, K, state0 = single_strain()
+        with pytest.raises(ValidationError, match="is not positive"):
+            picard_solve(state0, 1.0, rates_on(1, 1, d0), K)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_finite(self, solver, T):
+        _, _, K, state0 = single_strain()
+        with pytest.raises(ConfigError, match="finite, got"):
+            SOLVERS[solver](state0, T, rates_on(1, 1), K)
+
+    @pytest.mark.parametrize("solver, T, dt", [
+        ("rk4", 1e308, 1e-3), ("rk4", 1.0, 1e-300), ("picard", 1e308, None),
+    ])
+    def test_step_budget(self, solver, T, dt):
+        _, _, K, state0 = single_strain()
+        with pytest.raises(ConfigError, match="needs more than MAX_STEPS"):
+            if solver == "picard":
+                picard_solve(state0, T, rates_on(1, 1), K)
+            else:
+                integrate(state0, T, StepControl(dt=dt), rates_on(1, 1), K)
 
 
 def test_mass_bound_along_trajectory(rng):
