@@ -27,6 +27,7 @@ from crflow.rates import (
     MortalitySpec,
     UptakeSpec,
     VitalRates,
+    breakevens,
     dissipativity_bound,
     truncate,
 )
@@ -38,7 +39,6 @@ from crflow.dynamics import (
     picard_solve,
 )
 from crflow.analysis import (
-    breakevens,
     concentration,
     diagnostics,
 )

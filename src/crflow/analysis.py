@@ -9,10 +9,7 @@ import numpy as np
 from crflow.errors import ConfigError
 from crflow.dynamics import Trajectory
 from crflow.measure import DiscreteMeasure, dirac, flat_distance
-from crflow.rates import VitalRates, dissipativity_bound
-
-# Bisection stops once the bracket is narrower than this.
-BREAKEVEN_TOL = 1e-10
+from crflow.rates import VitalRates, breakevens, dissipativity_bound
 
 
 def concentration(mu: DiscreteMeasure):
@@ -30,37 +27,6 @@ def concentration(mu: DiscreteMeasure):
     winner = int(np.argmax(w))
     normalized = DiscreteMeasure(mu.space, w / total)
     return winner, flat_distance(normalized, dirac(mu.space, winner))
-
-
-def breakevens(rates: VitalRates, S_max: float) -> list:
-    """Substrate level where uptake meets mortality, for every strategy.
-
-    Bisection on [0, S_max], all atoms at once: an atom's midpoint, stopping
-    rule and result are those of its own scalar bisection, and it drops out
-    of the active set once its bracket is narrower than BREAKEVEN_TOL. An
-    entry is None when there is no sign change (the strategy cannot persist
-    at any attainable substrate level). Under the admissibility assumptions
-    the difference is monotone, so the root is unique when it exists.
-    """
-    hi_end = float(S_max)
-    f_lo = rates.uptake_values(0.0) - rates.mortality_values(0.0)
-    f_hi = rates.uptake_values(hi_end) - rates.mortality_values(hi_end)
-    atoms = np.flatnonzero(~(f_lo > 0) & ~(f_hi < 0) & ~((f_lo == 0) & (f_hi == 0)))
-    lo = np.zeros(atoms.size)
-    hi = np.full(atoms.size, hi_end)
-    active = np.flatnonzero(hi - lo > BREAKEVEN_TOL)
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        at = (np.arange(active.size), atoms[active])
-        below = rates.uptake_values(mid)[at] - rates.mortality_values(mid)[at] < 0
-        lo[active[below]] = mid[below]
-        hi[active[~below]] = mid[~below]
-        active = active[hi[active] - lo[active] > BREAKEVEN_TOL]
-    out = [0.0 if fl > 0 or not fh < 0 else None
-           for fl, fh in zip(f_lo.tolist(), f_hi.tolist())]
-    for i, root in zip(atoms.tolist(), (0.5 * (lo + hi)).tolist()):
-        out[i] = root
-    return out
 
 
 def mass_balance_residual(traj: Trajectory, rates: VitalRates) -> float | None:

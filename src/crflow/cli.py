@@ -170,6 +170,8 @@ def run_checks(sc: Scenario, tol: float):
 
 
 def cmd_check(args) -> int:
+    if not 0.0 < args.tolerance < np.inf:
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
     target = Path(args.scenario)
     if target.is_dir():
         paths = sorted(target.glob("*.json"))

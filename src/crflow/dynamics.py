@@ -60,7 +60,7 @@ class StepControl:
     method: str = "rk4"          # "rk4", "adaptive" or "picard" (picard_solve)
     dt: float = 1e-3
     t_end: float = 1.0
-    tolerance: float = 1e-8      # adaptive local error target
+    tolerance: float = 1e-8      # adaptive local error target, > 0
     record_every: int = 1
     lam: float | None = None     # picard contraction weight; None derives it
 
@@ -174,6 +174,8 @@ def integrate(
     dt = control.dt
     if not dt > 0:
         raise ConfigError("dt must be positive")
+    if control.method == "adaptive" and not control.tolerance > 0:
+        raise ConfigError(f"tolerance must be positive, got {control.tolerance!r}")
     if control.method == "rk4" and t_end / dt > MAX_STEPS:
         raise ConfigError(f"horizon {t_end!r} needs more than MAX_STEPS steps of dt {dt!r}")
     rhs = _make_rhs(rates, K)
@@ -216,6 +218,9 @@ def integrate(
         tol = control.tolerance
         t = 0.0
         while t < t_end - 1e-13:
+            if steps >= MAX_STEPS:
+                raise NumericalError(
+                    f"horizon {t_end!r} needs more than MAX_STEPS steps at t={t!r}")
             dt = min(dt, t_end - t)
             if dt < MIN_ADAPTIVE_STEP:
                 raise StiffnessError(
@@ -237,8 +242,6 @@ def integrate(
                 w = accept(S, w2, t, dt, t >= t_end - 1e-13)
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
-            if steps > MAX_STEPS:
-                raise NumericalError("exceeded max_steps")
 
     # Deduplicate if the final step was recorded twice
     if len(times) >= 2 and times[-1] == times[-2]:

@@ -199,6 +199,34 @@ def dissipativity_bound(rates: VitalRates) -> float:
     return rates.inflow / min(rates.dilution, 1.0, floor)
 
 
+def breakevens(rates: VitalRates, S_max: float) -> list:
+    """Substrate level where uptake meets mortality, for every strategy.
+
+    With f = B - D and top = min(S_max, clamp), an entry is 0.0 when f(0) > 0
+    or f(0) = 0 <= f(top), None when f(top) < 0 (no persistence at any
+    attainable level), and else the root in (0, top] of the quadratic
+    qa S^2 + qb S + qc that f = 0 multiplies out to (constant mortality is
+    c = 0), as -2 qc / (qb + sqrt(qb^2 - 4 qa qc)): free of cancellation,
+    with a positive denominator when f(0) < 0 <= f(top).
+    """
+    top = float(S_max) if rates.clamp is None else min(float(S_max), rates.clamp)
+    f_lo = rates.uptake_values(0.0) - rates.mortality_values(0.0)
+    f_hi = rates.uptake_values(top) - rates.mortality_values(top)
+    out = [0.0 if fl > 0 or not fh < 0 else None
+           for fl, fh in zip(f_lo.tolist(), f_hi.tolist())]
+    i = np.flatnonzero((f_lo < 0) & (f_hi >= 0))
+    b, d0 = rates.uptake.b[i], rates.mortality.d0[i]
+    c = 0.0 if rates.mortality.c is None else rates.mortality.c[i]
+    qa, qb, qc = b, b - d0, -(d0 + c)                  # linear: f (1 + S)
+    if rates.uptake.family == "monod":                 # monod: f (a + S)(1 + S)
+        a = rates.uptake.a[i]
+        qa, qb, qc = b - d0, b - d0 * (1.0 + a) - c, a * qc
+    roots = -2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+    for k, root in zip(i.tolist(), np.minimum(roots, top).tolist()):
+        out[k] = root
+    return out
+
+
 def truncate(rates: VitalRates, N: float) -> VitalRates:
     """Clamp the substrate argument of both rate families to [0, N]."""
     return replace(rates, clamp=float(N))

@@ -26,9 +26,11 @@ The kernel Lipschitz bound and the bullet actions of a function and of a
 kernel on a measure are the paper's estimates, written out for the tests
 that check them.
 
-`breakeven` is the scalar bisection of one atom's break-even level that
-`analysis.breakevens` replaced, and `fmt17_csv` the trajectory.csv text
-that `cli.write_trajectory_csv` wrote one `format` call per value.
+`breakeven` bisects one atom's break-even level to a bracket of
+BREAKEVEN_TOL, evaluating the rates on a Python float; it is the oracle
+for `rates.breakevens`, which solves the quadratic that uptake = mortality
+multiplies out to. `fmt17_csv` is the trajectory.csv text that
+`cli.write_trajectory_csv` wrote one `format` call per value.
 """
 
 import itertools
@@ -36,7 +38,6 @@ import math
 
 import numpy as np
 
-from crflow.analysis import BREAKEVEN_TOL
 from crflow.dynamics import Trajectory, integrate
 from crflow.errors import ConfigError, DimensionError
 from crflow.measure import DiscreteMeasure, flat_distance
@@ -44,6 +45,8 @@ from crflow.simplex import SimplexError
 
 # The pivot tolerance of the tableau solvers.
 PIVOT_TOL = 1e-9
+# `breakeven` stops once its bracket is narrower than this.
+BREAKEVEN_TOL = 1e-10
 
 
 def _inner_vertex_max(weights, metric, s, L, tol=1e-9):

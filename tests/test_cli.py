@@ -741,6 +741,53 @@ class TestConfigErrors:
         assert err["type"] == "ConfigError"
         assert "needs more than MAX_STEPS" in err["message"]
 
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0])
+    def test_adaptive_tolerance_must_be_positive(self, tmp_path, capsys, tolerance):
+        cfg = washout_cfg()
+        cfg["control"].update(method="adaptive", tolerance=tolerance)
+        code = main(["simulate", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"] == f"tolerance must be positive, got {tolerance!r}"
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_check_tolerance_must_be_positive_and_finite(self, capsys, monkeypatch,
+                                                         tolerance):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(crflow.cli, "run_checks", no_run)
+        code = main(["check", "--scenario", str(SCENARIOS), "--tolerance", tolerance])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"] == (f"--tolerance must be positive and finite, "
+                                  f"got {float(tolerance)!r}")
+
+    def test_adaptive_step_budget(self, tmp_path, capsys, monkeypatch):
+        cfg = washout_cfg()
+        cfg["control"].update(method="adaptive", dt=0.05, t_end=1.0)
+        sc = build_scenario(cfg)
+        steps = len(run(sc)[0]) - 1
+        path = write_cfg(tmp_path, cfg)
+        monkeypatch.setattr(crflow.dynamics, "MAX_STEPS", steps)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(crflow.dynamics, "MAX_STEPS", steps - 1)
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "b")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "NumericalError"
+        assert err["message"].startswith("horizon 1.0 needs more than MAX_STEPS steps at t=")
+
     @pytest.mark.parametrize("key", [
         "rates.inflow", "rates.dilution", "initial.S", "control.dt",
         "control.t_end", "control.tolerance", "control.record_every",

@@ -188,6 +188,18 @@ class TestIntegrate:
         with pytest.raises(ConfigError):
             integrate(state0, 1.0, StepControl(method="adaptive", dt=dt), rates, K)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+    def test_adaptive_rejects_nonpositive_tolerance(self, tolerance):
+        _, rates, K, state0 = washout_setup()
+        control = StepControl(method="adaptive", tolerance=tolerance)
+        with pytest.raises(ConfigError, match="tolerance must be positive"):
+            integrate(state0, 1.0, control, rates, K)
+
+    def test_rk4_ignores_tolerance(self):
+        _, rates, K, state0 = washout_setup()
+        run = integrate(state0, 0.1, StepControl(dt=0.01, tolerance=float("nan")), rates, K)
+        assert run.times[-1] == pytest.approx(0.1)
+
     def test_large_negative_weight_aborts(self):
         sp, rates, K, _ = single_strain()
         bad = SystemState(1.0, DiscreteMeasure(sp, np.array([-0.5])))
