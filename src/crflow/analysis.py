@@ -95,6 +95,6 @@ def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
         mass_balance_max_residual=mass_balance_residual(traj, rates),
         winner_atom=winner,
         concentration_distance=dist,
-        breakevens=breakevens(rates, rates.clamp),
+        breakevens=breakevens(rates),
         clamped_weights=int(traj.metadata.get("clamped_weights", 0)),
     )

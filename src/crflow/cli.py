@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 import crflow
-from crflow.dynamics import StepControl, Trajectory, integrate, picard_solve
+from crflow.dynamics import (PICARD_WINDOW, WEIGHT_CLAMP_TOL, StepControl, Trajectory,
+                             integrate, picard_solve)
 from crflow.errors import ConfigError, CrflowError, NumericalError, ValidationError
 from crflow.measure import flat_distance
 from crflow.scenario import (
@@ -123,8 +124,8 @@ def run_checks(sc: Scenario, tol: float):
     traj, rep = run(dataclasses.replace(sc, control=control))
     results = []
 
-    worst_neg = -min(rep.min_weight_observed, rep.min_substrate_observed, 0.0)
-    results.append(("positivity", worst_neg <= 1e-9, worst_neg))
+    worst_neg = max(0.0, -rep.min_weight_observed, -rep.min_substrate_observed)
+    results.append(("positivity", worst_neg <= WEIGHT_CLAMP_TOL, worst_neg))
 
     # None when dt does not divide t_end or there are fewer than 5 points
     mb = rep.mass_balance_max_residual
@@ -156,8 +157,9 @@ def run_checks(sc: Scenario, tol: float):
     results.append(("step_accuracy", acc <= tol, acc))
 
     # Picard is compared with the run's own state at the last grid time
-    # <= min(1, t_end), at least one step in.
-    k = min(n_steps, max(1, int(min(1.0, control.t_end) / control.dt + 1e-9)))
+    # <= min(PICARD_WINDOW, t_end), at least one step in.
+    first_window = min(PICARD_WINDOW, control.t_end)
+    k = min(n_steps, max(1, int(first_window / control.dt + 1e-9)))
     rk_end = traj.state(k)
     pic = picard_solve(sc.state0, float(traj.times[k]), sc.rates, sc.kernel,
                        sc.control.lam)

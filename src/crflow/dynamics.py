@@ -24,7 +24,7 @@ from crflow.errors import (
 )
 from crflow.kernel import MutationKernel
 from crflow.measure import DiscreteMeasure
-from crflow.rates import RateValidationReport, VitalRates, dissipativity_bound
+from crflow.rates import VitalRates, dissipativity_bound
 from crflow.space import StrategySpace
 
 WEIGHT_CLAMP_TOL = 1e-9
@@ -33,6 +33,8 @@ MAX_STEPS = 50_000_000      # steps (Picard: nodes) one run may take
 PICARD_TOL = 1e-12          # sup increment between iterates that ends a window
 PICARD_NODES = 512          # trapezoid intervals per window
 PICARD_MAX_ITER = 200       # iterations per window before ConvergenceError
+PICARD_WINDOW = 1.0         # longest window; longer horizons chain windows
+METHODS = ("rk4", "adaptive", "picard")
 
 
 @dataclass(frozen=True)
@@ -53,16 +55,25 @@ class SystemState:
         return self.S >= 0.0 and bool(np.all(self.mu.weights >= 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControl:
-    """Integrator selection and step control."""
+    """Integrator selection and step control. Building one raises a ConfigError
+    unless method is in METHODS and dt and tolerance are positive."""
 
-    method: str = "rk4"          # "rk4", "adaptive" or "picard" (picard_solve)
+    method: str = "rk4"          # one of METHODS; "picard" runs picard_solve
     dt: float = 1e-3
     t_end: float = 1.0
-    tolerance: float = 1e-8      # adaptive local error target, > 0
+    tolerance: float = 1e-8      # adaptive local error target
     record_every: int = 1
     lam: float | None = None     # picard contraction weight; None derives it
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown integrator {self.method!r}")
+        if not self.dt > 0:
+            raise ConfigError("dt must be positive")
+        if not self.tolerance > 0:
+            raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
 
 
 @dataclass
@@ -169,13 +180,9 @@ def integrate(
     _check_inputs(state0, rates, K)
     if not 0.0 <= t_end < math.inf:
         raise ConfigError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    if control.method not in ("rk4", "adaptive"):
-        raise ConfigError(f"unknown integrator {control.method!r}")
+    if control.method == "picard":
+        raise ConfigError("integrate does not run picard; picard_solve does")
     dt = control.dt
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
-    if control.method == "adaptive" and not control.tolerance > 0:
-        raise ConfigError(f"tolerance must be positive, got {control.tolerance!r}")
     if control.method == "rk4" and t_end / dt > MAX_STEPS:
         raise ConfigError(f"horizon {t_end!r} needs more than MAX_STEPS steps of dt {dt!r}")
     rhs = _make_rhs(rates, K)
@@ -243,12 +250,6 @@ def integrate(
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
 
-    # Deduplicate if the final step was recorded twice
-    if len(times) >= 2 and times[-1] == times[-2]:
-        times.pop()
-        S_hist.pop()
-        w_hist.pop()
-
     return Trajectory(
         space=state0.space,
         times=np.asarray(times),
@@ -266,16 +267,15 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def contraction_weight_default(
-    rep: RateValidationReport, dilution: float, mass_bound: float, T: float
-) -> float:
+def contraction_weight_default(rates: VitalRates, mass_bound: float, T: float) -> float:
     """Heuristic weight for the exponentially weighted sup norm.
 
     Twice a crude bound on the integral operator's Lipschitz constant,
     assembled from the sampled sup/Lipschitz norms of the truncated rates
-    in rep, the dilution and the mass bound. Any value above the true
-    constant makes the operator a contraction in that norm.
+    (rates.assumptions), the dilution and the mass bound. Any value above
+    the true constant makes the operator a contraction in that norm.
     """
+    rep = rates.assumptions
     b_bl = rep.uptake_sup + rep.uptake_lip
     d_bl = rep.mortality_sup + rep.mortality_lip
     f21_sup = rep.uptake_sup * mass_bound
@@ -286,7 +286,7 @@ def contraction_weight_default(
         + T * f21_sup * d_bl
         + rep.uptake_sup
         + mass_bound * rep.uptake_lip
-        + dilution
+        + rates.dilution
     )
     return 2.0 * max(n_t, 1.0)
 
@@ -306,7 +306,8 @@ def picard_solve(
     where F11 = inflow - mu[B(S,.)], F21 is the birth measure pushed through
     the kernel, and E(s,t) decays each atom by its accumulated mortality.
     Time integrals use the composite trapezoid rule on PICARD_NODES
-    intervals; windows of length at most 1 are chained for longer horizons.
+    intervals; windows of length at most PICARD_WINDOW are chained for
+    longer horizons.
     A window ends when the sup distance between successive iterates (|dS|
     plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
     The rates must be truncated: the operator contracts only on those.
@@ -321,14 +322,13 @@ def picard_solve(
     if not state0.in_cone():
         raise ConfigError("picard_solve needs cone initial data")
     _check_inputs(state0, rates, K)
-    n_windows = max(1, int(math.ceil(T / 1.0 - 1e-12)))
+    n_windows = max(1, int(math.ceil(T / PICARD_WINDOW - 1e-12)))
     if n_windows * PICARD_NODES > MAX_STEPS:
         raise ConfigError(f"horizon {T!r} needs more than MAX_STEPS Picard nodes")
     mass_bound = max(state0.total_mass(), dissipativity_bound(rates))
     Tw = T / n_windows
     if lam is None:
-        lam = contraction_weight_default(rates.assumptions, rates.dilution,
-                                         mass_bound, Tw)
+        lam = contraction_weight_default(rates, mass_bound, Tw)
 
     KT_rows = K.rows  # nu = x @ rows gives nu_j = sum_i x_i rows[i, j]
     inflow, dilution = rates.inflow, rates.dilution

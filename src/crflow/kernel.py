@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,11 @@ class MutationKernel:
     """Row i is the offspring distribution of strategy i over the atoms.
 
     Entries must be finite and nonnegative and rows sum to one within
-    ROW_SUM_TOL. Pass renormalize=True to rescale row sums explicitly; it is
-    never silent.
+    ROW_SUM_TOL.
     """
 
     space: StrategySpace
     rows: np.ndarray
-    renormalize: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -32,7 +30,7 @@ class MutationKernel:
             raise DimensionError(
                 f"kernel shape {rows.shape} does not match {n} atoms"
             )
-        # First fault wins; renormalize forgives only a finite row sum.
+        # First fault wins.
         for bad, what in ((~np.isfinite(rows), "non-finite"), (rows < 0, "negative")):
             if bad.any():
                 i, j = np.argwhere(bad)[0]
@@ -40,12 +38,8 @@ class MutationKernel:
         with np.errstate(over="ignore"):        # an inf sum is reported below
             sums = rows.sum(axis=1)
         off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        if off.size and not (self.renormalize and np.isfinite(sums).all()):
+        if off.size:
             raise ConfigError(f"row {off[0]} sums to {float(sums[off[0]])!r}")
-        if self.renormalize:
-            if np.any(sums <= 0):
-                raise ConfigError("cannot renormalize a zero row")
-            rows = rows / sums[:, None]
         rows = np.ascontiguousarray(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)

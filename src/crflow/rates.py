@@ -199,17 +199,19 @@ def dissipativity_bound(rates: VitalRates) -> float:
     return rates.inflow / min(rates.dilution, 1.0, floor)
 
 
-def breakevens(rates: VitalRates, S_max: float) -> list:
+def breakevens(rates: VitalRates) -> list:
     """Substrate level where uptake meets mortality, for every strategy.
 
-    With f = B - D and top = min(S_max, clamp), an entry is 0.0 when f(0) > 0
-    or f(0) = 0 <= f(top), None when f(top) < 0 (no persistence at any
-    attainable level), and else the root in (0, top] of the quadratic
-    qa S^2 + qb S + qc that f = 0 multiplies out to (constant mortality is
-    c = 0), as -2 qc / (qb + sqrt(qb^2 - 4 qa qc)): free of cancellation,
-    with a positive denominator when f(0) < 0 <= f(top).
+    With f = B - D and top the truncation level rates.clamp, an entry is 0.0
+    when f(0) > 0 or f(0) = 0 <= f(top), None when f(top) < 0 (no
+    persistence at any attainable level), and else the root in (0, top] of
+    the quadratic qa S^2 + qb S + qc that f = 0 multiplies out to (constant
+    mortality is c = 0), as -2 qc / (qb + sqrt(qb^2 - 4 qa qc)): free of
+    cancellation, with a positive denominator when f(0) < 0 <= f(top).
     """
-    top = float(S_max) if rates.clamp is None else min(float(S_max), rates.clamp)
+    if rates.clamp is None:
+        raise ConfigError("break-evens need truncated rates")
+    top = float(rates.clamp)
     f_lo = rates.uptake_values(0.0) - rates.mortality_values(0.0)
     f_hi = rates.uptake_values(top) - rates.mortality_values(top)
     out = [0.0 if fl > 0 or not fh < 0 else None

@@ -22,6 +22,7 @@ import numpy as np
 import crflow
 from crflow.analysis import DiagnosticsReport, diagnostics
 from crflow.dynamics import (
+    METHODS,
     StepControl,
     SystemState,
     Trajectory,
@@ -92,12 +93,6 @@ def _integer(least=None):
     return read
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {json.dumps(value)}")
-    return value
-
-
 def _numbers(value, at: str = "") -> None:
     """Raise unless value is a number or nested lists of numbers; the error's
     second argument is the failing entry's index path, such as "[1]"."""
@@ -162,7 +157,7 @@ _SCHEMA = {
     "grid": (("bounds", "counts"), {"dim": _integer(1), "bounds": _array,
                                    "counts": _counts}),
     "kernel": ((), {"family": _choice("pure_selection", "gaussian"), "width": _real,
-                    "matrix": _array, "renormalize": _flag}),
+                    "matrix": _array}),
     "rates": (("inflow", "dilution", "uptake", "mortality"), {
         "inflow": _real, "dilution": _real, "uptake": "uptake",
         "mortality": "mortality"}),
@@ -174,7 +169,7 @@ _SCHEMA = {
     "affine": ((), {"const": _real, "slope": _array}),
     "initial": (("S", "weights"), {"S": _real, "weights": _array}),
     "control": (("t_end",), {
-        "method": _choice("rk4", "adaptive", "picard"), "dt": _real,
+        "method": _choice(*METHODS), "dt": _real,
         "t_end": _real, "tolerance": _real, "record_every": _integer(1),
         "lambda": _real_or_null(0)}),
     "measure": (("space", "weights"), {"space": "space", "weights": _array}),
@@ -279,7 +274,7 @@ def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     """The mutation kernel of a `kernel` object as `_read` returns it."""
     if "matrix" in spec:
         try:
-            return MutationKernel(space, spec["matrix"], spec.get("renormalize", False))
+            return MutationKernel(space, spec["matrix"])
         except ConfigError as exc:
             raise ConfigError(f"kernel.matrix: {exc}") from None
     family = spec.get("family")
@@ -344,9 +339,9 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError(
             f"initial.weights: expected {space.size} values, got {weights.shape}"
         )
-    if S0 < 0 or np.any(weights < 0):
-        raise ConfigError("initial state must lie in the nonnegative cone")
     state0 = SystemState(S0, DiscreteMeasure(space, weights))
+    if not state0.in_cone():
+        raise ConfigError("initial state must lie in the nonnegative cone")
 
     truncation = doc.get("truncation")
     if truncation is None:

@@ -241,8 +241,7 @@ def test_08_bullet_inequalities():
             bl_norm_fn(f) * bl_dual_norm(mu_signed)
             - bl_dual_norm(bullet_fn(f, mu_signed))
         )
-        K = MutationKernel(sp, rng.dirichlet(np.ones(n), size=n),
-                           renormalize=True)
+        K = MutationKernel(sp, rng.dirichlet(np.ones(n), size=n))
         mu_pos = DiscreteMeasure(sp, rng.uniform(0.0, 1.0, n))
         row_norm = max(bl_dual_norm(row_measure(K, i)) for i in range(n))
         slack_k = (
@@ -266,7 +265,7 @@ def test_09_concentration():
         4.0,
     )
     # distinct break-evens: atom 0 survives at lower substrate
-    s_star = breakevens(rates, 4.0)
+    s_star = breakevens(rates)
     assert s_star[0] < s_star[1]
     state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.3, 0.3])))
     traj = integrate(

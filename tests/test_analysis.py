@@ -105,23 +105,27 @@ class TestConcentration:
 class TestBreakeven:
     def test_monod_closed_form(self):
         # b*S/(a+S) = d0 at S = a*d0/(b - d0); b = a = 1, d0 = 0.3 gives 3/7
-        r = make_rates()
-        assert breakevens(r, 10.0)[0] == pytest.approx(3.0 / 7.0, rel=1e-15)
+        r = truncate(make_rates(), 10.0)
+        assert breakevens(r)[0] == pytest.approx(3.0 / 7.0, rel=1e-15)
 
     def test_no_root_when_mortality_dominates(self):
-        r = make_rates(b=0.5, d0=0.6)
-        assert breakevens(r, 100.0) == [None]
+        r = truncate(make_rates(b=0.5, d0=0.6), 100.0)
+        assert breakevens(r) == [None]
 
     def test_per_atom(self):
-        r = make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3)
-        lo, hi = breakevens(r, 10.0)
+        r = truncate(make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3), 10.0)
+        lo, hi = breakevens(r)
         assert lo == pytest.approx(0.5 * 0.3 / 0.7, rel=1e-15)
         assert hi == pytest.approx(1.5 * 0.3 / 0.7, rel=1e-15)
         assert lo < hi
 
+    def test_untruncated_rates_raise(self):
+        with pytest.raises(ConfigError, match="break-evens need truncated rates"):
+            breakevens(make_rates())
+
     def test_desk_chemostat(self):
         sc = build_scenario(load_config(SCENARIOS / "desk_chemostat.json"))
-        got = breakevens(sc.rates, sc.rates.clamp)
+        got = breakevens(sc.rates)
         assert got == pytest.approx([3.0 / 5.0, 3.0 / 7.0, 1.0 / 3.0], rel=1e-15)
 
 
@@ -136,7 +140,7 @@ class TestCompetitiveExclusion:
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.3, 0.3])))
         end = integrate(state0, 200.0, StepControl(dt=0.01, record_every=20000),
                         rates, pure_selection_kernel(sp)).endpoint()
-        s_star = breakevens(rates, rates.clamp)
+        s_star = breakevens(rates)
         least = min(s_star)
         assert least == s_star[0] < s_star[1]
         assert abs(end.S - least) <= 1e-12
@@ -164,27 +168,21 @@ class TestBreakevensMatchScalarBisection:
         ("monod", "constant"), ("monod", "decreasing"),
         ("linear", "constant"), ("linear", "decreasing"),
     ])
-    @pytest.mark.parametrize("clamp", [None, 2.5])
-    @pytest.mark.parametrize("S_max", [0.0, 2.5, 10.0, 1e-11])
-    def test_within_bisection_bracket(self, family, d_family, clamp, S_max):
+    @pytest.mark.parametrize("top", [2.5, 10.0, 1e-11])
+    def test_within_bisection_bracket(self, family, d_family, top):
         b, a, d0, c = (list(col) for col in zip(*BREAKEVEN_ATOMS))
         n = len(b)
-        r = VitalRates(
+        r = truncate(VitalRates(
             inflow=1.0, dilution=1.0,
             uptake=UptakeSpec.build(family, n, b, a=a),
             mortality=MortalitySpec.build(
                 d_family, n, d0, c=c if d_family == "decreasing" else None),
-        )
-        if clamp is not None:
-            r = truncate(r, clamp)
-        got = breakevens(r, S_max)
-        want = [breakeven(r, i, S_max) for i in range(n)]
+        ), top)
+        got = breakevens(r)
+        want = [breakeven(r, i, top) for i in range(n)]
         assert [type(x) for x in got] == [type(x) for x in want]
         for x, y in zip(got, want):
             assert x is None or abs(x - y) <= BREAKEVEN_TOL
-        if S_max == 0.0:
-            # f is zero at both ends of [0, 0] for the atom with d0 = c = 0
-            assert got[6] == 0.0
 
     def test_cases_are_covered(self):
         n = len(BREAKEVEN_ATOMS)
@@ -192,7 +190,7 @@ class TestBreakevensMatchScalarBisection:
         r = truncate(VitalRates(
             inflow=1.0, dilution=1.0, uptake=UptakeSpec.build("monod", n, b, a=a),
             mortality=MortalitySpec.build("decreasing", n, d0, c=c)), 2.5)
-        got = breakevens(r, 10.0)
+        got = breakevens(r)
         assert got[4] is None
         assert got[5] == 0.0
         assert got[6] == 0.0

@@ -412,10 +412,10 @@ class TestSweep:
         statuses = [row.split(",")[2] for row in lines[1:]]
         assert statuses == ["ok", "validation-error"]
 
-        # A renormalized 2x3 matrix passes build_kernel and fails inside
-        # MutationKernel with a DimensionError; the good row is still kept.
+        # A 2x3 matrix passes build_kernel and fails inside MutationKernel
+        # with a DimensionError; the good row is still kept.
         cfg["control"]["t_end"] = 1.0
-        cfg["kernel"] = {"renormalize": True}
+        cfg["kernel"] = {}
         cfg["sweep"] = {"kernel.matrix": [[[1.0, 0.0], [0.0, 1.0]],
                                           [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
         path = write_cfg(tmp_path, cfg, "matrix.json")
@@ -429,7 +429,7 @@ class TestSweep:
     def test_list_valued_sweep_value_keeps_csv_well_formed(self, tmp_path):
         cfg = load_config(SCENARIOS / "sweep_inflow.json")
         cfg["control"]["t_end"] = 1.0
-        cfg["kernel"] = {"renormalize": True}
+        cfg["kernel"] = {}
         matrices = [[[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.2, 0.8]]]
         cfg["sweep"] = {"kernel.matrix": matrices}
         path = write_cfg(tmp_path, cfg)
@@ -669,9 +669,10 @@ class TestConfigErrors:
         (lambda cfg: cfg["control"].update(method=["rk4"]), "control.method: "),
         (lambda cfg: cfg["initial"].update(weights="x"), "initial.weights: "),
         (lambda cfg: cfg.update(kernel={"family": "gauss"}), "kernel.family: "),
+        # kernel rows are checked, never rescaled
         (lambda cfg: cfg.update(kernel={"matrix": [[1.0, 0.0], [0.0, 1.0]],
-                                        "renormalize": "false"}),
-         "kernel.renormalize: "),
+                                        "renormalize": True}),
+         "kernel.renormalize: unknown key"),
         (lambda cfg: cfg.update(kernel={"matrix": [[0.6, 0.5], [0.5, 0.5]]}),
          "kernel.matrix: row 0 sums to 1.1"),
         (lambda cfg: cfg.update(allow_invalid_rates=True),
@@ -741,18 +742,36 @@ class TestConfigErrors:
         assert err["type"] == "ConfigError"
         assert "needs more than MAX_STEPS" in err["message"]
 
-    @pytest.mark.parametrize("tolerance", [-1.0, 0.0])
-    def test_adaptive_tolerance_must_be_positive(self, tmp_path, capsys, tolerance):
-        cfg = washout_cfg()
-        cfg["control"].update(method="adaptive", tolerance=tolerance)
-        code = main(["simulate", "--scenario", str(write_cfg(tmp_path, cfg)),
-                     "--out", str(tmp_path / "out")])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 2
-        assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        assert err["type"] == "ConfigError"
-        assert err["message"] == f"tolerance must be positive, got {tolerance!r}"
+    # A control that breaks a rule of StepControl gets one verdict from every
+    # command, whichever method it names.
+    @pytest.mark.parametrize("scenario, control, message", [
+        ("washout.json", {"method": "adaptive", "tolerance": -1.0},
+         "tolerance must be positive, got -1.0"),
+        ("washout.json", {"method": "rk4", "tolerance": 0.0},
+         "tolerance must be positive, got 0.0"),
+        ("picard_chemostat.json", {"dt": -1.0}, "dt must be positive"),
+        ("picard_chemostat.json", {"dt": 0.0}, "dt must be positive"),
+    ], ids=["adaptive_tol", "rk4_tol", "picard_dt_negative", "picard_dt_zero"])
+    def test_one_verdict_per_control(self, tmp_path, capsys, scenario, control,
+                                     message):
+        cfg = load_config(SCENARIOS / scenario)
+        cfg["control"].update(control)
+        path = write_cfg(tmp_path, cfg)
+        for argv in (["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")],
+                     ["check", "--scenario", str(path)]):
+            code = main(argv)
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 2
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == {
+                "type": "ConfigError", "message": message, "exit_code": 2}
+        cfg["sweep"] = {"seed": [0]}
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(sweep)]) == 2
+        with open(sweep / "summary.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["status"], row["error"]) == ("validation-error", message)
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_check_tolerance_must_be_positive_and_finite(self, capsys, monkeypatch,

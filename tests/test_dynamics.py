@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -191,14 +191,16 @@ class TestIntegrate:
     @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
     def test_adaptive_rejects_nonpositive_tolerance(self, tolerance):
         _, rates, K, state0 = washout_setup()
-        control = StepControl(method="adaptive", tolerance=tolerance)
         with pytest.raises(ConfigError, match="tolerance must be positive"):
+            control = StepControl(method="adaptive", tolerance=tolerance)
             integrate(state0, 1.0, control, rates, K)
 
-    def test_rk4_ignores_tolerance(self):
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+    def test_rk4_rejects_nonpositive_tolerance(self, tolerance):
         _, rates, K, state0 = washout_setup()
-        run = integrate(state0, 0.1, StepControl(dt=0.01, tolerance=float("nan")), rates, K)
-        assert run.times[-1] == pytest.approx(0.1)
+        with pytest.raises(ConfigError, match="tolerance must be positive"):
+            control = StepControl(dt=0.01, tolerance=tolerance)
+            integrate(state0, 0.1, control, rates, K)
 
     def test_large_negative_weight_aborts(self):
         sp, rates, K, _ = single_strain()
@@ -514,6 +516,40 @@ class TestRecordEvery:
         for name in ("times", "S", "weights"):
             assert np.array_equal(getattr(thin, name).view(np.uint64),
                                   getattr(full, name)[keep].view(np.uint64))
+
+    def test_rk4_times_strictly_increase(self):
+        # 100 full steps of 0.01, a remainder of 0.005, and record_every 7,
+        # which divides neither 100 nor 101: the last step is recorded once
+        rates, K, state0 = mutation_setup()
+        traj = integrate(state0, 1.005, StepControl(dt=0.01, record_every=7),
+                         rates, K)
+        assert np.all(np.diff(traj.times) > 0)
+        assert traj.times[-1] == 1.005
+        assert len(traj) == 1 + 101 // 7 + 1
+
+
+class TestStepControl:
+    """A StepControl exists only if its rules hold, whichever method runs."""
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive", "picard"])
+    @pytest.mark.parametrize("fields, message", [
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": -1.0}, "dt must be positive"),
+        ({"dt": float("nan")}, "dt must be positive"),
+        ({"tolerance": 0.0}, "tolerance must be positive, got 0.0"),
+        ({"tolerance": -1.0}, "tolerance must be positive, got -1.0"),
+    ])
+    def test_rules_hold_for_every_method(self, method, fields, message):
+        with pytest.raises(ConfigError) as info:
+            StepControl(method=method, **fields)
+        assert str(info.value) == message
+
+    def test_frozen(self):
+        control = StepControl()
+        with pytest.raises(FrozenInstanceError):
+            control.dt = -1.0
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            replace(control, dt=-1.0)
 
 
 class TestStepChecks:

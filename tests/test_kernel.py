@@ -98,7 +98,7 @@ class TestLipschitzBound:
     def test_invariant_under_atom_relabeling(self, rng):
         sp = build_grid(1, [(0.0, 1.0)], [4])
         rows = rng.dirichlet(np.ones(4), size=4)
-        K = MutationKernel(sp, rows, renormalize=True)
+        K = MutationKernel(sp, rows)
         perm = rng.permutation(4)
         sp_p = StrategySpace(sp.points[perm], sp.metric[np.ix_(perm, perm)])
         K_p = MutationKernel(sp_p, K.rows[np.ix_(perm, perm)])
@@ -115,25 +115,22 @@ class TestValidation:
     # The first fault names the error, in the order non-finite entry,
     # negative entry, row sum; the values print as plain floats, so the text
     # does not depend on the numpy version.
-    @pytest.mark.parametrize("rows, renormalize, message", [
-        ([[0.6, 0.5], [0.5, 0.5]], False, "row 0 sums to 1.1"),
-        ([[0.5, 0.5], [0.3, 0.3]], False, "row 1 sums to 0.6"),
-        ([[-0.1, 1.1], [0.5, 0.5]], False, "negative entry -0.1 at (0, 0)"),
-        ([[0.5, 0.5], [1.2, -0.5]], False, "negative entry -0.5 at (1, 1)"),
-        ([[np.nan, 0.5], [0.5, 0.5]], False, "non-finite entry nan at (0, 0)"),
-        ([[0.6, -0.5], [np.inf, 0.5]], False, "non-finite entry inf at (1, 0)"),
-        # renormalizing rescues neither a negative nor a non-finite entry,
-        # nor a row whose sum overflows
-        ([[-0.1, 1.1], [0.5, 0.5]], True, "negative entry -0.1 at (0, 0)"),
-        ([[-0.5, 2.0], [0.5, 0.5]], True, "negative entry -0.5 at (0, 0)"),
-        ([[np.inf, 0.5], [0.5, 0.5]], True, "non-finite entry inf at (0, 0)"),
-        ([[1e308, 1e308], [0.5, 0.5]], True, "row 0 sums to inf"),
-        ([[0.0, 0.0], [0.5, 0.5]], True, "cannot renormalize a zero row"),
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.6, 0.5], [0.5, 0.5]], "row 0 sums to 1.1"),
+        ([[0.5, 0.5], [0.3, 0.3]], "row 1 sums to 0.6"),
+        ([[-0.1, 1.1], [0.5, 0.5]], "negative entry -0.1 at (0, 0)"),
+        ([[0.5, 0.5], [1.2, -0.5]], "negative entry -0.5 at (1, 1)"),
+        ([[np.nan, 0.5], [0.5, 0.5]], "non-finite entry nan at (0, 0)"),
+        ([[0.6, -0.5], [np.inf, 0.5]], "non-finite entry inf at (1, 0)"),
+        ([[-0.5, 2.0], [0.5, 0.5]], "negative entry -0.5 at (0, 0)"),
+        ([[np.inf, 0.5], [0.5, 0.5]], "non-finite entry inf at (0, 0)"),
+        ([[1e308, 1e308], [0.5, 0.5]], "row 0 sums to inf"),
+        ([[0.0, 0.0], [0.5, 0.5]], "row 0 sums to 0.0"),
     ])
-    def test_constructor_names_the_first_fault(self, rows, renormalize, message):
+    def test_constructor_names_the_first_fault(self, rows, message):
         sp = build_grid(1, [(0.0, 1.0)], [2])
         with pytest.raises(ConfigError) as info:
-            MutationKernel(sp, np.array(rows), renormalize=renormalize)
+            MutationKernel(sp, np.array(rows))
         assert str(info.value) == message
 
     def test_rejected_before_it_divides(self):
@@ -142,20 +139,11 @@ class TestValidation:
         with np.errstate(all="raise"), pytest.raises(ConfigError, match="width 1e-300 is too small"):
             local_mutation_kernel(sp, 1e-300)
 
-    def test_renormalize_is_explicit(self):
-        sp = build_grid(1, [(0.0, 1.0)], [2])
-        K = MutationKernel(
-            sp, np.array([[0.6, 0.5], [0.5, 0.5]]), renormalize=True
-        )
-        assert np.allclose(K.rows.sum(axis=1), 1.0)
-
 
 def test_mass_invariance_random_kernels(rng):
     for _ in range(10):
         sp = random_space(rng, max_atoms=6)
-        K = MutationKernel(
-            sp, rng.dirichlet(np.ones(sp.size), size=sp.size), renormalize=True
-        )
+        K = MutationKernel(sp, rng.dirichlet(np.ones(sp.size), size=sp.size))
         mu = DiscreteMeasure(sp, rng.uniform(0.0, 1.0, sp.size))
         out = bullet_kernel(K, mu)
         assert abs(out.total_mass() - mu.total_mass()) <= 1e-12

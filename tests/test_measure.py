@@ -308,7 +308,7 @@ class TestBulletActions:
     def test_mass_preserved_by_stochastic_kernel(self, rng):
         sp = random_space(rng, max_atoms=6)
         rows = rng.dirichlet(np.ones(sp.size), size=sp.size)
-        K = kern.MutationKernel(sp, rows, renormalize=True)
+        K = kern.MutationKernel(sp, rows)
         mu = measure(sp, rng.uniform(0.0, 1.0, sp.size))
         out = bullet_kernel(K, mu)
         assert out.total_mass() == pytest.approx(mu.total_mass(), abs=1e-12)
@@ -317,7 +317,7 @@ class TestBulletActions:
         # pairing nu against g equals pairing mu against q -> gamma(q)[g]
         sp = random_space(rng, max_atoms=5)
         rows = rng.dirichlet(np.ones(sp.size), size=sp.size)
-        K = kern.MutationKernel(sp, rows, renormalize=True)
+        K = kern.MutationKernel(sp, rows)
         mu = measure(sp, rng.normal(size=sp.size))
         g = fn(sp, rng.normal(size=sp.size))
         lhs = pair(bullet_kernel(K, mu), g)
@@ -337,7 +337,7 @@ class TestBulletActions:
         for _ in range(15):
             sp = random_space(rng, max_atoms=5)
             rows = rng.dirichlet(np.ones(sp.size), size=sp.size)
-            K = kern.MutationKernel(sp, rows, renormalize=True)
+            K = kern.MutationKernel(sp, rows)
             mu = measure(sp, rng.uniform(0.0, 1.0, sp.size))
             row_norm = max(
                 bl_dual_norm(row_measure(K, i)) for i in range(sp.size)
@@ -352,8 +352,8 @@ class TestBulletActions:
         B = rng.dirichlet(np.ones(n), size=n)
         mu = measure(sp, rng.normal(size=n))
         nu = measure(sp, rng.normal(size=n))
-        KA = kern.MutationKernel(sp, A, renormalize=True)
-        KB = kern.MutationKernel(sp, B, renormalize=True)
+        KA = kern.MutationKernel(sp, A)
+        KB = kern.MutationKernel(sp, B)
         # linear in the measure
         lhs = bullet_kernel(KA, mu + 2.0 * nu).weights
         rhs = bullet_kernel(KA, mu).weights + 2.0 * bullet_kernel(KA, nu).weights
