@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 import crflow
-from crflow.dynamics import (PICARD_WINDOW, WEIGHT_CLAMP_TOL, StepControl, Trajectory,
-                             integrate, picard_solve)
+from crflow.dynamics import (PICARD_WINDOW, WEIGHT_CLAMP_TOL, Trajectory, integrate,
+                             picard_solve)
 from crflow.errors import ConfigError, CrflowError, NumericalError, ValidationError
 from crflow.measure import flat_distance
 from crflow.scenario import (
@@ -142,7 +142,7 @@ def run_checks(sc: Scenario, tol: float):
         # it takes a partial step, then the rest of the horizon, which ends
         # with a remainder step; the law compares two step sequences.
         mid = traj.state(n_steps // 2)
-        rest = control.t_end - float(traj.times[n_steps // 2])
+        rest = sc.t_end - float(traj.times[n_steps // 2])
         part = 0.5 * min(control.dt, rest)
         shifted = integrate(mid, part, control, sc.rates, sc.kernel).endpoint()
         composed = integrate(
@@ -151,18 +151,17 @@ def run_checks(sc: Scenario, tol: float):
         res = abs(direct.S - composed.S) + flat_distance(direct.mu, composed.mu)
         results.append(("semiflow_law", res <= tol, res))
 
-    fine = StepControl(method="rk4", dt=0.5 * sc.control.dt, t_end=control.t_end)
-    refined = integrate(sc.state0, control.t_end, fine, sc.rates, sc.kernel).endpoint()
+    fine = dataclasses.replace(control, dt=0.5 * control.dt)
+    refined = integrate(sc.state0, sc.t_end, fine, sc.rates, sc.kernel).endpoint()
     acc = abs(direct.S - refined.S) + flat_distance(direct.mu, refined.mu)
     results.append(("step_accuracy", acc <= tol, acc))
 
     # Picard is compared with the run's own state at the last grid time
     # <= min(PICARD_WINDOW, t_end), at least one step in.
-    first_window = min(PICARD_WINDOW, control.t_end)
+    first_window = min(PICARD_WINDOW, sc.t_end)
     k = min(n_steps, max(1, int(first_window / control.dt + 1e-9)))
     rk_end = traj.state(k)
-    pic = picard_solve(sc.state0, float(traj.times[k]), sc.rates, sc.kernel,
-                       sc.control.lam)
+    pic = picard_solve(sc.state0, float(traj.times[k]), control, sc.rates, sc.kernel)
     pic_end = pic.endpoint()
     gap = abs(rk_end.S - pic_end.S) + flat_distance(rk_end.mu, pic_end.mu)
     ratio = pic.metadata["contraction_ratio"]

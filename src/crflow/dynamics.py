@@ -57,14 +57,14 @@ class SystemState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Integrator selection and step control. Building one raises a ConfigError
-    unless method is in METHODS and dt and tolerance are positive."""
+    """Integrator selection and step control; the horizon is each run's own
+    argument. Building one raises a ConfigError unless method is in METHODS,
+    dt and tolerance are positive and record_every is an integer >= 1."""
 
     method: str = "rk4"          # one of METHODS; "picard" runs picard_solve
     dt: float = 1e-3
-    t_end: float = 1.0
     tolerance: float = 1e-8      # adaptive local error target
-    record_every: int = 1
+    record_every: int = 1        # keep steps (Picard: nodes) k, 2k, ... and the last
     lam: float | None = None     # picard contraction weight; None derives it
 
     def __post_init__(self):
@@ -74,6 +74,9 @@ class StepControl:
             raise ConfigError("dt must be positive")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
+        if type(self.record_every) is not int or self.record_every < 1:
+            raise ConfigError(
+                f"record_every must be an integer >= 1, got {self.record_every!r}")
 
 
 @dataclass
@@ -117,9 +120,12 @@ def _make_rhs(rates: VitalRates, K: MutationKernel):
     return rhs
 
 
-def _check_inputs(state0: SystemState, rates: VitalRates, K: MutationKernel):
-    """Raise a ConfigError unless the kernel and both rate families live on
-    the atoms of the state."""
+def _check_inputs(state0: SystemState, t_end: float, rates: VitalRates,
+                  K: MutationKernel):
+    """Raise a ConfigError unless t_end is positive and finite and the kernel
+    and both rate families live on the atoms of the state."""
+    if not 0.0 < t_end < math.inf:
+        raise ConfigError(f"t_end must be positive and finite, got {t_end!r}")
     if not K.space.same_as(state0.space):
         raise ConfigError("kernel and state live on different spaces")
     n = state0.space.size
@@ -177,9 +183,7 @@ def integrate(
     violations abort with a positivity error. A run takes at most MAX_STEPS
     steps.
     """
-    _check_inputs(state0, rates, K)
-    if not 0.0 <= t_end < math.inf:
-        raise ConfigError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    _check_inputs(state0, t_end, rates, K)
     if control.method == "picard":
         raise ConfigError("integrate does not run picard; picard_solve does")
     dt = control.dt
@@ -293,12 +297,12 @@ def contraction_weight_default(rates: VitalRates, mass_bound: float, T: float) -
 
 def picard_solve(
     state0: SystemState,
-    T: float,
+    t_end: float,
+    control: StepControl,
     rates: VitalRates,
     K: MutationKernel,
-    lam: float | None = None,
 ) -> Trajectory:
-    """Fixed-point integration of the mild-solution integral operator.
+    """Fixed-point integration of the mild-solution operator on [0, t_end].
 
     The operator sends a candidate trajectory zeta to
         S(t)  = e^(-dilution*t) S0 + int_0^t e^(-dilution*(t-s)) F11(zeta(s)) ds
@@ -312,21 +316,22 @@ def picard_solve(
     plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
     The rates must be truncated: the operator contracts only on those.
 
-    lam (None: contraction_weight_default) is not a stop rule but the weight
-    of the norm sup e^(-lam*t)|.| in which the operator contracts; the
-    metadata's contraction_ratio is the largest ratio of successive
-    distances in that norm while they are at least PICARD_TOL.
+    Of the control it reads lam and record_every: record_every k keeps nodes
+    k, 2k, ... and the last, as integrate keeps steps. control.lam (None:
+    contraction_weight_default) is not a stop rule but the weight of the
+    norm sup e^(-lam*t)|.| in which the operator contracts; the metadata's
+    contraction_ratio is the largest ratio of successive distances in that
+    norm while they are at least PICARD_TOL.
     """
-    if not 0.0 < T < math.inf:
-        raise ConfigError(f"horizon must be positive and finite, got {T!r}")
+    _check_inputs(state0, t_end, rates, K)
     if not state0.in_cone():
         raise ConfigError("picard_solve needs cone initial data")
-    _check_inputs(state0, rates, K)
-    n_windows = max(1, int(math.ceil(T / PICARD_WINDOW - 1e-12)))
+    n_windows = max(1, int(math.ceil(t_end / PICARD_WINDOW - 1e-12)))
     if n_windows * PICARD_NODES > MAX_STEPS:
-        raise ConfigError(f"horizon {T!r} needs more than MAX_STEPS Picard nodes")
+        raise ConfigError(f"horizon {t_end!r} needs more than MAX_STEPS Picard nodes")
     mass_bound = max(state0.total_mass(), dissipativity_bound(rates))
-    Tw = T / n_windows
+    Tw = t_end / n_windows
+    lam = control.lam
     if lam is None:
         lam = contraction_weight_default(rates, mass_bound, Tw)
 
@@ -384,11 +389,15 @@ def picard_solve(
         W0 = W_arr[-1].copy()
         t_offset += Tw
 
+    times, S, W = np.concatenate(all_times), np.concatenate(all_S), np.vstack(all_W)
+    if control.record_every > 1:
+        keep = np.r_[0:len(times) - 1:control.record_every, len(times) - 1]
+        times, S, W = times[keep], S[keep], W[keep]
     return Trajectory(
         space=state0.space,
-        times=np.concatenate(all_times),
-        S=np.concatenate(all_S),
-        weights=np.vstack(all_W),
+        times=times,
+        S=S,
+        weights=W,
         metadata={
             "integrator": "picard",
             "lambda": lam,

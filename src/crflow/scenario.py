@@ -310,13 +310,15 @@ def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
 class Scenario:
     """A fully validated scenario ready to run.
 
-    The strategy space is state0.space and the truncation level N is
-    rates.clamp.
+    The strategy space is state0.space, the truncation level N is
+    rates.clamp and t_end is the document's control.t_end, the horizon
+    of the run.
     """
 
     kernel: MutationKernel
     rates: VitalRates            # truncated
     state0: SystemState
+    t_end: float
     control: StepControl
     hash: str
 
@@ -361,25 +363,22 @@ def build_scenario(cfg: dict) -> Scenario:
         kernel=kernel,
         rates=rates,
         state0=state0,
+        t_end=control.pop("t_end"),
         control=StepControl(**control),
         hash=scenario_hash(cfg),
     )
 
 
 def run(sc: Scenario) -> tuple[Trajectory, DiagnosticsReport]:
-    """Integrate a scenario and build its DiagnosticsReport.
+    """Integrate a scenario to sc.t_end and build its DiagnosticsReport.
 
-    The method is chosen here and nowhere else: "picard" runs picard_solve
-    with the contraction weight sc.control.lam, "rk4" and "adaptive" run
-    integrate. The trajectory's metadata carries the scenario hash and the
-    package version.
+    The method is chosen here and nowhere else: "picard" runs picard_solve,
+    "rk4" and "adaptive" run integrate; both take the same arguments and
+    read sc.control. The trajectory's metadata carries the scenario hash
+    and the package version.
     """
-    if sc.control.method == "picard":
-        traj = picard_solve(
-            sc.state0, sc.control.t_end, sc.rates, sc.kernel, sc.control.lam
-        )
-    else:
-        traj = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates, sc.kernel)
+    solve = picard_solve if sc.control.method == "picard" else integrate
+    traj = solve(sc.state0, sc.t_end, sc.control, sc.rates, sc.kernel)
     traj.metadata["scenario_hash"] = sc.hash
     traj.metadata["version"] = crflow.__version__
     return traj, diagnostics(traj, sc.rates)

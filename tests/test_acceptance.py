@@ -217,7 +217,7 @@ def test_07_picard_rk_cross_validation():
     for sc in scenario_batch(505, 5, max_atoms=10):
         rk = integrate(sc["state0"], 1.0, control, sc["rates"],
                        sc["kernel"]).endpoint()
-        pic = picard_solve(sc["state0"], 1.0, sc["rates"], sc["kernel"])
+        pic = picard_solve(sc["state0"], 1.0, control, sc["rates"], sc["kernel"])
         end = pic.endpoint()
         worst_gap = max(
             worst_gap, abs(rk.S - end.S) + flat_distance(rk.mu, end.mu)

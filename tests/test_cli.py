@@ -106,12 +106,8 @@ class TestRun:
     def test_equals_integrator_plus_diagnostics(self, cfg):
         sc = build_scenario(cfg)
         traj, report = run(sc)
-        if sc.control.method == "picard":
-            ref = picard_solve(sc.state0, sc.control.t_end, sc.rates, sc.kernel,
-                               sc.control.lam)
-        else:
-            ref = integrate(sc.state0, sc.control.t_end, sc.control, sc.rates,
-                            sc.kernel)
+        solve = picard_solve if sc.control.method == "picard" else integrate
+        ref = solve(sc.state0, sc.t_end, sc.control, sc.rates, sc.kernel)
         for name in ("times", "S", "weights"):
             assert np.array_equal(bits(getattr(traj, name)), bits(getattr(ref, name)))
         assert traj.metadata == {**ref.metadata, "scenario_hash": sc.hash,
@@ -204,6 +200,24 @@ class TestSimulate:
             1.0 - math.exp(-1.0), abs=1e-6
         )
 
+    @pytest.mark.parametrize("k, rows", [(3, 513), (7, 221)])
+    def test_picard_record_every_keeps_every_kth_node(self, tmp_path, k, rows):
+        # picard_chemostat: 3 windows of 512 nodes, so nodes 0..1536; the
+        # thinned table is rows 0, k, 2k, ... and the last, bit for bit, of
+        # the record_every 1 table (17 digits round-trip a double)
+        cfg = load_config(SCENARIOS / "picard_chemostat.json")
+        tables = []
+        for every in (1, k):
+            cfg["control"]["record_every"] = every
+            out = tmp_path / f"every_{every}"
+            assert main(["simulate", "--scenario", str(write_cfg(tmp_path, cfg)),
+                         "--out", str(out)]) == 0
+            tables.append((out / "trajectory.csv").read_text().splitlines()[2:])
+        full, thin = tables
+        assert len(full) == 1537
+        assert len(thin) == rows
+        assert thin == full[:-1:k] + full[-1:]
+
 
 class TestCheck:
     def test_desk_scenario_passes(self, capsys):
@@ -231,7 +245,7 @@ class TestCheck:
         cfg["control"]["lambda"] = 7.5
         solve, weights = crflow.cli.picard_solve, []
         monkeypatch.setattr(crflow.cli, "picard_solve",
-                            lambda *args: weights.append(args[4]) or solve(*args))
+                            lambda *args: weights.append(args[2].lam) or solve(*args))
         assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == 0
         assert weights == [7.5]
 
@@ -532,9 +546,8 @@ class TestCheckSplitState:
         # the split, which is bitwise the endpoint of a separate
         # integration to the split.
         sc = build_scenario(cfg)
-        control = StepControl(method="rk4", dt=sc.control.dt,
-                              t_end=sc.control.t_end, record_every=1)
-        traj = integrate(sc.state0, control.t_end, control, sc.rates, sc.kernel)
+        control = StepControl(method="rk4", dt=sc.control.dt, record_every=1)
+        traj = integrate(sc.state0, sc.t_end, control, sc.rates, sc.kernel)
         n_steps = len(traj) - 1
         split = (n_steps // 2) * sc.control.dt
         separate = integrate(sc.state0, split, control, sc.rates, sc.kernel)
@@ -604,7 +617,7 @@ class TestCheckRelayAndReference:
         # the reference carries the run's own step error, 3.2e-5
         ({"dt": 0.3, "t_end": 2.0}, 3 * 0.3, "FAIL", 1),
         ({"dt": 0.01, "t_end": 0.035}, 3 * 0.01, "PASS", 0),
-        ({"t_end": 0.0}, 0.0, None, 2),                  # horizon must be positive
+        ({"t_end": 0.0}, None, None, 2),                 # no run, no Picard call
     ])
     def test_picard_horizon_is_a_grid_time(self, tmp_path, capsys, monkeypatch,
                                            edit, horizon, picard_row, code):
@@ -615,10 +628,10 @@ class TestCheckRelayAndReference:
         monkeypatch.setattr(crflow.cli, "picard_solve", lambda *args: (
             horizons.append(args[1]) or solve(*args)))
         assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == code
-        assert horizons == [horizon]
+        assert horizons == ([] if horizon is None else [horizon])
         out = capsys.readouterr().out
         if picard_row is None:
-            assert "horizon must be positive" in out
+            assert "t_end must be positive and finite, got 0.0" in out
         else:
             assert f"{picard_row} scenario.json picard_vs_rk" in out
 
@@ -751,7 +764,15 @@ class TestConfigErrors:
          "tolerance must be positive, got 0.0"),
         ("picard_chemostat.json", {"dt": -1.0}, "dt must be positive"),
         ("picard_chemostat.json", {"dt": 0.0}, "dt must be positive"),
-    ], ids=["adaptive_tol", "rk4_tol", "picard_dt_negative", "picard_dt_zero"])
+        # one horizon rule for both integrators
+        ("washout.json", {"method": "rk4", "t_end": 0},
+         "t_end must be positive and finite, got 0.0"),
+        ("washout.json", {"method": "adaptive", "t_end": 0},
+         "t_end must be positive and finite, got 0.0"),
+        ("picard_chemostat.json", {"t_end": 0},
+         "t_end must be positive and finite, got 0.0"),
+    ], ids=["adaptive_tol", "rk4_tol", "picard_dt_negative", "picard_dt_zero",
+            "rk4_t_end_zero", "adaptive_t_end_zero", "picard_t_end_zero"])
     def test_one_verdict_per_control(self, tmp_path, capsys, scenario, control,
                                      message):
         cfg = load_config(SCENARIOS / scenario)

@@ -118,19 +118,12 @@ class TestStepRK4:
 class TestIntegrate:
     def test_washout_matches_closed_form(self):
         _, rates, K, state0 = washout_setup()
-        control = StepControl(dt=1e-3, t_end=1.0)
+        control = StepControl(dt=1e-3)
         traj = integrate(state0, 1.0, control, rates, K)
         assert traj.endpoint().S == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
         # whole trajectory, not just the endpoint
         exact = 1.0 - np.exp(-traj.times)
         assert np.abs(traj.S - exact).max() < 1e-6
-
-    def test_zero_horizon_returns_initial_state(self):
-        _, rates, K, state0 = washout_setup()
-        traj = integrate(state0, 0.0, StepControl(), rates, K)
-        assert len(traj) == 1
-        assert traj.times[0] == 0.0
-        assert traj.endpoint().S == state0.S
 
     def test_noninteger_step_count_lands_on_t_end(self):
         _, rates, K, state0 = washout_setup()
@@ -210,11 +203,12 @@ class TestIntegrate:
 
 
 class TestSemiflow:
-    def test_time_zero_is_identity(self):
+    def test_time_zero_is_rejected(self):
+        # a zero horizon is no run; the identity at t = 0 is the first row
         _, rates, K, state0 = single_strain()
-        out = integrate(state0, 0.0, StepControl(), rates, K).endpoint()
-        assert out.S == state0.S
-        assert np.array_equal(out.mu.weights, state0.mu.weights)
+        with pytest.raises(ConfigError) as info:
+            integrate(state0, 0.0, StepControl(), rates, K)
+        assert str(info.value) == "t_end must be positive and finite, got 0.0"
 
     def test_composition_law(self, rng):
         control = StepControl(dt=1e-3)
@@ -254,21 +248,21 @@ class TestPicard:
         # one iteration, and a second iteration changes nothing
         sp, rates, K, _ = washout_setup()
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
-        traj = picard_solve(state, 1.0, truncate(rates, 2.0), K)
+        traj = picard_solve(state, 1.0, StepControl(), truncate(rates, 2.0), K)
         assert traj.metadata["iterations"] == [2]
         # quadrature error of the trapezoid rule sets the scale here
         assert np.abs(traj.S - 1.0).max() < 1e-6
 
     def test_washout_closed_form(self):
         _, rates, K, state0 = washout_setup()
-        traj = picard_solve(state0, 1.0, truncate(rates, 2.0), K)
+        traj = picard_solve(state0, 1.0, StepControl(), truncate(rates, 2.0), K)
         exact = 1.0 - np.exp(-traj.times)
         assert np.abs(traj.S - exact).max() < 1e-6
 
     def test_contraction_ratio_below_one(self, rng):
         for _ in range(3):
             sc = random_admissible_scenario(rng, max_atoms=6)
-            traj = picard_solve(sc["state0"], 1.0, sc["rates"], sc["kernel"])
+            traj = picard_solve(sc["state0"], 1.0, StepControl(), sc["rates"], sc["kernel"])
             assert traj.metadata["contraction_ratio"] < 1.0
 
     def test_matches_rk4(self, rng):
@@ -276,14 +270,14 @@ class TestPicard:
         for _ in range(3):
             sc = random_admissible_scenario(rng, max_atoms=6)
             rk = integrate(sc["state0"], 1.0, control, sc["rates"], sc["kernel"])
-            pc = picard_solve(sc["state0"], 1.0, sc["rates"], sc["kernel"])
+            pc = picard_solve(sc["state0"], 1.0, StepControl(), sc["rates"], sc["kernel"])
             a, b = rk.endpoint(), pc.endpoint()
             gap = abs(a.S - b.S) + flat_distance(a.mu, b.mu)
             assert gap <= 1e-5
 
     def test_long_horizon_windows(self):
         sp, rates, K, state0 = single_strain()
-        traj = picard_solve(state0, 3.0, truncate(rates, 2.0), K)
+        traj = picard_solve(state0, 3.0, StepControl(), truncate(rates, 2.0), K)
         assert traj.metadata["windows"] == 3
         assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
         rk = integrate(state0, 3.0, StepControl(dt=1e-3), rates, K)
@@ -332,18 +326,19 @@ class TestPicard:
                                    rows.T @ (B * w) - rates.mortality_values(S) * w])
 
         y0 = np.concatenate([[sc.state0.S], sc.state0.mu.weights])
-        ref = solve_ivp(rhs, (0.0, sc.control.t_end), y0, method="DOP853",
+        ref = solve_ivp(rhs, (0.0, sc.t_end), y0, method="DOP853",
                         rtol=1e-12, atol=1e-12).y[:, -1]
         end = np.concatenate([[traj.S[-1]], traj.weights[-1]])
         assert np.abs(end - ref).max() <= 1e-5
 
     def test_rejects_bad_input(self):
         sp, rates, K, state0 = single_strain()
-        with pytest.raises(ConfigError):
-            picard_solve(state0, 0.0, rates, K)
+        with pytest.raises(ConfigError) as info:
+            picard_solve(state0, 0.0, StepControl(), rates, K)
+        assert str(info.value) == "t_end must be positive and finite, got 0.0"
         bad = SystemState(-1.0, state0.mu)
         with pytest.raises(ConfigError):
-            picard_solve(bad, 1.0, rates, K)
+            picard_solve(bad, 1.0, StepControl(), rates, K)
 
     def test_rejects_rates_of_another_atom_count(self):
         sp = build_grid(1, [(0.0, 1.0)], [3])
@@ -355,7 +350,7 @@ class TestPicard:
         )
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
         with pytest.raises(ConfigError, match="do not match the atom count"):
-            picard_solve(state0, 1.0, rates, pure_selection_kernel(sp))
+            picard_solve(state0, 1.0, StepControl(), rates, pure_selection_kernel(sp))
 
 
 def rates_on(n_uptake, n_mortality, d0=0.3):
@@ -371,7 +366,8 @@ SOLVERS = {
     "rk4": lambda state, T, rates, K: integrate(state, T, StepControl(), rates, K),
     "adaptive": lambda state, T, rates, K: integrate(
         state, T, StepControl(method="adaptive"), rates, K),
-    "picard": picard_solve,
+    "picard": lambda state, T, rates, K: picard_solve(
+        state, T, StepControl(method="picard"), rates, K),
 }
 
 
@@ -396,20 +392,22 @@ class TestInputChecks:
     def test_picard_needs_truncated_rates(self):
         _, rates, K, state0 = single_strain()
         with pytest.raises(ConfigError, match="need truncated rates"):
-            picard_solve(state0, 1.0, rates, K)
+            picard_solve(state0, 1.0, StepControl(), rates, K)
 
     @pytest.mark.parametrize("d0", [0.0, -0.1])
     def test_picard_needs_a_positive_mortality_floor(self, d0):
         _, _, K, state0 = single_strain()
         with pytest.raises(ValidationError, match="is not positive"):
-            picard_solve(state0, 1.0, rates_on(1, 1, d0), K)
+            picard_solve(state0, 1.0, StepControl(), rates_on(1, 1, d0), K)
 
+    # one horizon rule for every method: positive and finite
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_horizon_must_be_finite(self, solver, T):
         _, _, K, state0 = single_strain()
-        with pytest.raises(ConfigError, match="finite, got"):
+        with pytest.raises(ConfigError) as info:
             SOLVERS[solver](state0, T, rates_on(1, 1), K)
+        assert str(info.value) == f"t_end must be positive and finite, got {T!r}"
 
     @pytest.mark.parametrize("solver, T, dt", [
         ("rk4", 1e308, 1e-3), ("rk4", 1.0, 1e-300), ("picard", 1e308, None),
@@ -418,7 +416,7 @@ class TestInputChecks:
         _, _, K, state0 = single_strain()
         with pytest.raises(ConfigError, match="needs more than MAX_STEPS"):
             if solver == "picard":
-                picard_solve(state0, T, rates_on(1, 1), K)
+                picard_solve(state0, T, StepControl(), rates_on(1, 1), K)
             else:
                 integrate(state0, T, StepControl(dt=dt), rates_on(1, 1), K)
 
@@ -482,15 +480,15 @@ class TestBitIdentity:
     """integrate() equals, bit for bit, a loop that evaluates rates on arrays."""
 
     @pytest.mark.parametrize("setup", [mutation_setup, selection_setup])
-    @pytest.mark.parametrize("control", [
-        StepControl(method="rk4", dt=0.01, t_end=1.005),
-        StepControl(method="adaptive", dt=0.05, t_end=2.0, tolerance=1e-10),
+    @pytest.mark.parametrize("t_end, control", [
+        (1.005, StepControl(method="rk4", dt=0.01)),
+        (2.0, StepControl(method="adaptive", dt=0.05, tolerance=1e-10)),
     ])
-    def test_matches_array_rate_reference(self, setup, control):
+    def test_matches_array_rate_reference(self, setup, t_end, control):
         rates, K, state0 = setup()
-        traj = integrate(state0, control.t_end, control, rates, K)
+        traj = integrate(state0, t_end, control, rates, K)
         times, S, W = reference_integrate(array_rate_rhs(rates, K), state0,
-                                          control.t_end, control)
+                                          t_end, control)
         assert len(traj) > 20
         assert np.array_equal(traj.times.view(np.uint64), times.view(np.uint64))
         assert np.array_equal(traj.S.view(np.uint64), S.view(np.uint64))
@@ -501,15 +499,16 @@ class TestRecordEvery:
     """record_every = k keeps rows k, 2k, ... and the last of the full record."""
 
     @pytest.mark.parametrize("k", [3, 7])
-    @pytest.mark.parametrize("control", [
-        StepControl(method="rk4", dt=0.01, t_end=1.005),
-        StepControl(method="adaptive", dt=0.05, t_end=2.0, tolerance=1e-10),
+    @pytest.mark.parametrize("t_end, control", [
+        (1.005, StepControl(method="rk4", dt=0.01)),
+        (2.0, StepControl(method="adaptive", dt=0.05, tolerance=1e-10)),
+        (2.0, StepControl(method="picard")),            # 1024 nodes
     ])
-    def test_thinned_rows_equal_full_record_rows(self, control, k):
+    def test_thinned_rows_equal_full_record_rows(self, t_end, control, k):
         rates, K, state0 = mutation_setup()
-        full = integrate(state0, control.t_end, control, rates, K)
-        thin = integrate(state0, control.t_end, replace(control, record_every=k),
-                         rates, K)
+        solve = picard_solve if control.method == "picard" else integrate
+        full = solve(state0, t_end, control, rates, K)
+        thin = solve(state0, t_end, replace(control, record_every=k), rates, K)
         last = len(full) - 1
         keep = sorted(set(range(0, last + 1, k)) | {last})
         assert last % k != 0         # the final row is kept off the k grid
@@ -543,6 +542,15 @@ class TestStepControl:
         with pytest.raises(ConfigError) as info:
             StepControl(method=method, **fields)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive", "picard"])
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    def test_record_every_is_an_integer_of_at_least_one(self, method, k):
+        rates, K, state0 = mutation_setup()
+        solve = picard_solve if method == "picard" else integrate
+        with pytest.raises(ConfigError) as info:
+            solve(state0, 1.0, StepControl(method=method, record_every=k), rates, K)
+        assert str(info.value) == f"record_every must be an integer >= 1, got {k!r}"
 
     def test_frozen(self):
         control = StepControl()
