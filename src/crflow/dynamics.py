@@ -74,9 +74,9 @@ class StepControl:
             raise ConfigError("dt must be positive")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
-        if type(self.record_every) is not int or self.record_every < 1:
-            raise ConfigError(
-                f"record_every must be an integer >= 1, got {self.record_every!r}")
+        k = self.record_every
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ConfigError(f"record_every must be an integer >= 1, got {k!r}")
 
 
 @dataclass
@@ -219,24 +219,28 @@ def integrate(
     if control.method == "rk4":
         n_full = int(math.floor(t_end / dt + 1e-9))
         rem = t_end - n_full * dt
+        # A horizon shorter than dt is one step of its own length.
+        tail = rem > 1e-12 or n_full == 0
         for i in range(n_full):
             S, w = _rk4(rhs, S, w, dt)
-            w = accept(S, w, (i + 1) * dt, dt, i == n_full - 1 and rem <= 1e-12)
-        if rem > 1e-12:
+            w = accept(S, w, (i + 1) * dt, dt, i == n_full - 1 and not tail)
+        if tail:
             S, w = _rk4(rhs, S, w, rem)
             accept(S, w, t_end, rem, True)
     else:
         tol = control.tolerance
         t = 0.0
-        while t < t_end - 1e-13:
+        last = False
+        while not last:
             if steps >= MAX_STEPS:
                 raise NumericalError(
                     f"horizon {t_end!r} needs more than MAX_STEPS steps at t={t!r}")
-            dt = min(dt, t_end - t)
+            # Underflow is the controller's; the step ending on t_end may be shorter.
             if dt < MIN_ADAPTIVE_STEP:
                 raise StiffnessError(
                     f"step size underflow at t={t!r} (dt={dt!r})"
                 )
+            dt = min(dt, t_end - t)
             # Both steps from (S, w) start from the same right-hand side.
             k1 = rhs(S, w)
             S1, w1 = _rk4(rhs, S, w, dt, k1)
@@ -250,7 +254,8 @@ def integrate(
             if err <= tol:
                 t += dt
                 S = S2
-                w = accept(S, w2, t, dt, t >= t_end - 1e-13)
+                last = t >= t_end - 1e-13
+                w = accept(S, w2, t, dt, last)
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             dt *= min(5.0, max(0.2, factor))
 
@@ -390,9 +395,8 @@ def picard_solve(
         t_offset += Tw
 
     times, S, W = np.concatenate(all_times), np.concatenate(all_S), np.vstack(all_W)
-    if control.record_every > 1:
-        keep = np.r_[0:len(times) - 1:control.record_every, len(times) - 1]
-        times, S, W = times[keep], S[keep], W[keep]
+    keep = np.r_[0:len(times) - 1:control.record_every, len(times) - 1]
+    times, S, W = times[keep], S[keep], W[keep]
     return Trajectory(
         space=state0.space,
         times=times,

@@ -170,7 +170,7 @@ _SCHEMA = {
     "initial": (("S", "weights"), {"S": _real, "weights": _array}),
     "control": (("t_end",), {
         "method": _choice(*METHODS), "dt": _real,
-        "t_end": _real, "tolerance": _real, "record_every": _integer(1),
+        "t_end": _real, "tolerance": _real, "record_every": _integer(),
         "lambda": _real_or_null(0)}),
     "measure": (("space", "weights"), {"space": "space", "weights": _array}),
 }

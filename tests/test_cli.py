@@ -675,7 +675,7 @@ class TestConfigErrors:
         (lambda cfg: cfg.update(kernel={"family": "gaussian", "width": 1e-300}),
          "kernel.width: mutation width 1e-300 is too small: 2 width^2 underflows to 0"),
         (lambda cfg: cfg["control"].update(record_every=0),
-         "control.record_every: expected an integer >= 1, got 0"),
+         "record_every must be an integer >= 1, got 0"),
         (lambda cfg: cfg["control"].update(record_every=2.5),
          "control.record_every: expected an integer, got 2.5"),
         (lambda cfg: cfg["control"].update(dt=True), "control.dt: "),
@@ -793,6 +793,21 @@ class TestConfigErrors:
         with open(sweep / "summary.csv", newline="", encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
         assert (row["status"], row["error"]) == ("validation-error", message)
+
+    # A horizon shorter than every end tolerance of the integrators is still
+    # a run to t_end, so simulate and check agree on it as well.
+    @pytest.mark.parametrize("scenario, method", [
+        ("washout.json", "rk4"), ("washout.json", "adaptive"),
+        ("picard_chemostat.json", "picard")])
+    def test_tiny_horizon_is_one_verdict(self, tmp_path, capsys, scenario, method):
+        cfg = load_config(SCENARIOS / scenario)
+        cfg["control"].update(method=method, t_end=1e-13)
+        path, out = write_cfg(tmp_path, cfg), tmp_path / "out"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[2:]
+        assert rows[-1].split(",")[0] == "1e-13"
+        assert main(["check", "--scenario", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_check_tolerance_must_be_positive_and_finite(self, capsys, monkeypatch,

@@ -142,6 +142,18 @@ class TestIntegrate:
             assert traj.S.min() >= -1e-9
             assert traj.weights.min() >= -1e-9
 
+    @pytest.mark.parametrize("method, rows", [("rk4", 2), ("adaptive", 2),
+                                              ("picard", 513)])
+    def test_horizon_below_the_end_tolerances_is_stepped(self, method, rows):
+        # 1e-13 is no longer than the rk4 remainder and adaptive end
+        # tolerances, yet a positive horizon is a run that ends on it
+        rates, K, state0 = mutation_setup()
+        solve = picard_solve if method == "picard" else integrate
+        traj = solve(state0, 1e-13, StepControl(method=method), rates, K)
+        assert len(traj) == rows
+        assert traj.times[-1] == 1e-13
+        assert traj.S[-1] != state0.S
+
     def test_record_every_thins_output(self):
         _, rates, K, state0 = washout_setup()
         traj = integrate(
@@ -498,7 +510,7 @@ class TestBitIdentity:
 class TestRecordEvery:
     """record_every = k keeps rows k, 2k, ... and the last of the full record."""
 
-    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("k", [3, 7, np.int64(3)], ids=["3", "7", "int64_3"])
     @pytest.mark.parametrize("t_end, control", [
         (1.005, StepControl(method="rk4", dt=0.01)),
         (2.0, StepControl(method="adaptive", dt=0.05, tolerance=1e-10)),
@@ -551,6 +563,10 @@ class TestStepControl:
         with pytest.raises(ConfigError) as info:
             solve(state0, 1.0, StepControl(method=method, record_every=k), rates, K)
         assert str(info.value) == f"record_every must be an integer >= 1, got {k!r}"
+
+    @pytest.mark.parametrize("k", [1, 5, np.int64(5), np.uint8(5)])
+    def test_record_every_takes_any_integer_type(self, k):
+        assert StepControl(record_every=k).record_every == k
 
     def test_frozen(self):
         control = StepControl()
