@@ -29,7 +29,6 @@ from crflow.rates import (
     VitalRates,
     breakevens,
     dissipativity_bound,
-    truncate,
 )
 from crflow.dynamics import (
     StepControl,

@@ -73,10 +73,11 @@ class DiagnosticsReport:
 
 
 def diagnostics(traj: Trajectory, rates: VitalRates) -> DiagnosticsReport:
-    """Build the standard report for one trajectory under truncated rates.
+    """Build the standard report for one trajectory under its rates.
 
-    Break-evens are sought on [0, rates.clamp]. The mass-balance residual is
-    None when the trajectory has fewer than 5 points or a non-uniform grid.
+    Break-evens are sought on [0, rates.clamp], the truncation level every
+    VitalRates carries. The mass-balance residual is None when the
+    trajectory has fewer than 5 points or a non-uniform grid.
     """
     bound = dissipativity_bound(rates)
     M = traj.mass()

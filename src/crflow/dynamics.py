@@ -59,7 +59,8 @@ class SystemState:
 class StepControl:
     """Integrator selection and step control; the horizon is each run's own
     argument. Building one raises a ConfigError unless method is in METHODS,
-    dt and tolerance are positive and record_every is an integer >= 1."""
+    dt and tolerance are positive, record_every is an integer >= 1 and lam
+    is None or a finite number >= 0."""
 
     method: str = "rk4"          # one of METHODS; "picard" runs picard_solve
     dt: float = 1e-3
@@ -77,6 +78,8 @@ class StepControl:
         k = self.record_every
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ConfigError(f"record_every must be an integer >= 1, got {k!r}")
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be a finite number >= 0 or None, got {self.lam!r}")
 
 
 @dataclass
@@ -280,7 +283,7 @@ def contraction_weight_default(rates: VitalRates, mass_bound: float, T: float) -
     """Heuristic weight for the exponentially weighted sup norm.
 
     Twice a crude bound on the integral operator's Lipschitz constant,
-    assembled from the sampled sup/Lipschitz norms of the truncated rates
+    assembled from the sampled sup/Lipschitz norms of the rates on [0, clamp]
     (rates.assumptions), the dilution and the mass bound. Any value above
     the true constant makes the operator a contraction in that norm.
     """
@@ -319,7 +322,6 @@ def picard_solve(
     longer horizons.
     A window ends when the sup distance between successive iterates (|dS|
     plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
-    The rates must be truncated: the operator contracts only on those.
 
     Of the control it reads lam and record_every: record_every k keeps nodes
     k, 2k, ... and the last, as integrate keeps steps. control.lam (None:

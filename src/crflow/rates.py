@@ -3,13 +3,15 @@
 Uptake B(S, q) must vanish at S = 0, be nondecreasing in S, and Lipschitz
 uniformly over strategies. Mortality D(S, q) must be nonincreasing in S
 with a positive floor (inherent mortality). Families are closed forms with
-per-atom coefficients; VitalRates.assumptions samples the closed forms once.
+per-atom coefficients; building a VitalRates samples the closed forms once
+(VitalRates.assumptions) and refuses rates that fail those checks.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +80,6 @@ class MortalitySpec:
 
 @dataclass(frozen=True)
 class RateValidationReport:
-    ok: bool
-    messages: tuple
     floor: float
     uptake_sup: float
     uptake_lip: float
@@ -89,37 +89,45 @@ class RateValidationReport:
 
 @dataclass(frozen=True)
 class VitalRates:
-    """Inflow, dilution, and the per-strategy rate families.
+    """Inflow, dilution, the per-strategy rate families and the truncation
+    level clamp.
 
-    clamp, when set, truncates the substrate argument of both families to
-    [0, clamp] before evaluation; outside that band the rates are frozen at
-    the boundary values, making them globally bounded and Lipschitz.
+    Both families see the substrate truncated to [0, clamp]; outside that
+    band the rates are frozen at the boundary values, making them globally
+    bounded and Lipschitz. Building one raises a ConfigError unless inflow
+    >= 0, dilution > 0 and clamp is positive and finite, and a
+    ValidationError when a sampled check of `assumptions` fails, so every
+    VitalRates is admissible as it is. dataclasses.replace(rates, clamp=N)
+    gives the same rates at another level.
     """
 
     inflow: float
     dilution: float
     uptake: UptakeSpec
     mortality: MortalitySpec
-    clamp: float | None = None
+    clamp: float
 
     def __post_init__(self):
-        if self.inflow < 0:
+        if not self.inflow >= 0:
             raise ConfigError("inflow must be nonnegative")
-        if self.dilution <= 0:
+        if not self.dilution > 0:
             raise ConfigError("dilution must be positive")
-        if self.clamp is not None and self.clamp <= 0:
+        if not self.clamp > 0:
             raise ConfigError("truncation level must be positive")
+        if not self.clamp < math.inf:
+            raise ConfigError("truncation level must be finite")
+        self.assumptions            # samples once; raises unless admissible
 
     @functools.cached_property
     def assumptions(self) -> RateValidationReport:
-        """Sampled admissibility checks on [0, clamp], computed at most once.
+        """Sampled admissibility checks on [0, clamp], computed once, when
+        the rates are built.
 
         Checks uptake monotonicity and zero at S = 0, positivity for S > 0,
-        mortality monotonicity and a positive floor, and estimates uniform
+        mortality monotonicity and a positive floor, and raises a
+        ValidationError naming every check that fails. Estimates uniform
         Lipschitz constants of both families by finite differences.
         """
-        if self.clamp is None:
-            raise ConfigError("rate assumptions need truncated rates")
         grid = np.linspace(0.0, self.clamp, RATE_SAMPLES)
         B = self.uptake_values(grid)     # (samples, n)
         D = self.mortality_values(grid)
@@ -137,10 +145,10 @@ class VitalRates:
         floor = float(D.min())
         if floor <= 0:
             messages.append(f"mortality floor {floor!r} is not positive")
+        if messages:
+            raise ValidationError("rate assumptions failed: " + "; ".join(messages))
         h = grid[1] - grid[0]
         return RateValidationReport(
-            ok=not messages,
-            messages=tuple(messages),
             floor=floor,
             uptake_sup=float(np.abs(B).max()),
             uptake_lip=float(np.abs(dB).max()) / h,
@@ -157,13 +165,9 @@ class VitalRates:
         """B(S, .) over all atoms; S may be a scalar or an array."""
         clamp, up = self.clamp, self.uptake
         if isinstance(S, float):
-            if clamp is not None:
-                S = min(max(S, 0.0), clamp)
+            S = min(max(S, 0.0), clamp)
         else:
-            S = np.asarray(S, dtype=float)
-            if clamp is not None:
-                S = np.clip(S, 0.0, clamp)
-            S = S[..., None]
+            S = np.clip(np.asarray(S, dtype=float), 0.0, clamp)[..., None]
         if up.family == "monod":
             return up.b * S / (up.a + S)
         return up.b * S
@@ -174,15 +178,12 @@ class VitalRates:
         if isinstance(S, float):
             if mo.family == "constant":
                 return mo.d0.copy()
-            if clamp is not None:
-                S = min(max(S, 0.0), clamp)
+            S = min(max(S, 0.0), clamp)
         else:
             S = np.asarray(S, dtype=float)
             if mo.family == "constant":
                 return np.broadcast_to(mo.d0, S.shape + mo.d0.shape).copy()
-            if clamp is not None:
-                S = np.clip(S, 0.0, clamp)
-            S = S[..., None]
+            S = np.clip(S, 0.0, clamp)[..., None]
         return mo.d0 + mo.c / (1.0 + S)
 
 
@@ -191,32 +192,25 @@ def dissipativity_bound(rates: VitalRates) -> float:
 
     The floor is rates.assumptions.floor, sampled on [0, N] for the
     truncation level N = rates.clamp, so it matches what the dynamics can
-    actually see.
+    actually see; building the rates made it positive.
     """
-    floor = rates.assumptions.floor
-    if floor <= 0:
-        raise ValidationError(f"mortality floor {floor!r} is not positive")
-    return rates.inflow / min(rates.dilution, 1.0, floor)
+    return rates.inflow / min(rates.dilution, 1.0, rates.assumptions.floor)
 
 
 def breakevens(rates: VitalRates) -> list:
     """Substrate level where uptake meets mortality, for every strategy.
 
-    With f = B - D and top the truncation level rates.clamp, an entry is 0.0
-    when f(0) > 0 or f(0) = 0 <= f(top), None when f(top) < 0 (no
+    With f = B - D and top the truncation level rates.clamp, f(0) = -D(0)
+    < 0 for admissible rates. An entry is None when f(top) < 0 (no
     persistence at any attainable level), and else the root in (0, top] of
     the quadratic qa S^2 + qb S + qc that f = 0 multiplies out to (constant
     mortality is c = 0), as -2 qc / (qb + sqrt(qb^2 - 4 qa qc)): free of
     cancellation, with a positive denominator when f(0) < 0 <= f(top).
     """
-    if rates.clamp is None:
-        raise ConfigError("break-evens need truncated rates")
     top = float(rates.clamp)
-    f_lo = rates.uptake_values(0.0) - rates.mortality_values(0.0)
     f_hi = rates.uptake_values(top) - rates.mortality_values(top)
-    out = [0.0 if fl > 0 or not fh < 0 else None
-           for fl, fh in zip(f_lo.tolist(), f_hi.tolist())]
-    i = np.flatnonzero((f_lo < 0) & (f_hi >= 0))
+    out = [None] * len(f_hi)
+    i = np.flatnonzero(f_hi >= 0)
     b, d0 = rates.uptake.b[i], rates.mortality.d0[i]
     c = 0.0 if rates.mortality.c is None else rates.mortality.c[i]
     qa, qb, qc = b, b - d0, -(d0 + c)                  # linear: f (1 + S)
@@ -229,15 +223,14 @@ def breakevens(rates: VitalRates) -> list:
     return out
 
 
-def truncate(rates: VitalRates, N: float) -> VitalRates:
-    """Clamp the substrate argument of both rate families to [0, N]."""
-    return replace(rates, clamp=float(N))
-
-
-def default_truncation_level(rates: VitalRates, S0: float, mass0: float) -> float:
+def default_truncation_level(inflow: float, dilution: float, S0: float,
+                             mass0: float) -> float:
     """Level at which trajectories from (S0, mass0) never reach the clamp.
 
-    Twice the largest of the initial substrate, the washout equilibrium,
-    and the initial mass; bounded trajectories stay strictly inside.
+    Twice the largest of the initial substrate, the washout equilibrium
+    inflow / dilution, and the initial mass; bounded trajectories stay
+    strictly inside. A dilution <= 0 has no washout level and adds none:
+    VitalRates refuses it.
     """
-    return 2.0 * max(S0, rates.inflow / rates.dilution, mass0, 0.5)
+    washout = inflow / dilution if dilution > 0 else 0.0
+    return 2.0 * max(S0, washout, mass0, 0.5)

@@ -29,7 +29,7 @@ from crflow.dynamics import (
     integrate,
     picard_solve,
 )
-from crflow.errors import ConfigError, ValidationError
+from crflow.errors import ConfigError
 from crflow.kernel import MutationKernel, local_mutation_kernel, pure_selection_kernel
 from crflow.measure import DiscreteMeasure
 from crflow.rates import (
@@ -39,7 +39,6 @@ from crflow.rates import (
     UptakeSpec,
     VitalRates,
     default_truncation_level,
-    truncate,
 )
 from crflow.space import StrategySpace, build_grid
 
@@ -72,13 +71,8 @@ def _real(value) -> float:
     return value
 
 
-def _real_or_null(least=-math.inf):
-    """Reader of null or a number >= least."""
-    def read(value) -> float | None:
-        if value is not None and _real(value) < least:
-            raise ValueError(f"expected a number >= {least} or null, got {value}")
-        return None if value is None else _real(value)
-    return read
+def _real_or_null(value) -> float | None:
+    return None if value is None else _real(value)
 
 
 def _integer(least=None):
@@ -151,7 +145,7 @@ def _choice(*names):
 _SCHEMA = {
     "scenario": (("space", "kernel", "rates", "initial", "control"), {
         "space": "space", "kernel": "kernel", "rates": "rates",
-        "initial": "initial", "control": "control", "truncation": _real_or_null(),
+        "initial": "initial", "control": "control", "truncation": _real_or_null,
         "seed": _integer(), "sweep": _given}),
     "space": ((), {"grid": "grid", "points": _array, "metric": _array}),
     "grid": (("bounds", "counts"), {"dim": _integer(1), "bounds": _array,
@@ -171,7 +165,7 @@ _SCHEMA = {
     "control": (("t_end",), {
         "method": _choice(*METHODS), "dt": _real,
         "t_end": _real, "tolerance": _real, "record_every": _integer(),
-        "lambda": _real_or_null(0)}),
+        "lambda": _real_or_null}),
     "measure": (("space", "weights"), {"space": "space", "weights": _array}),
 }
 
@@ -290,8 +284,9 @@ def build_kernel(spec: dict, space: StrategySpace) -> MutationKernel:
     raise ConfigError("kernel: needs either 'matrix' or 'family'")
 
 
-def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
-    """The vital rates of a `rates` object as `_read` returns it."""
+def build_rates(spec: dict, space: StrategySpace, clamp: float) -> VitalRates:
+    """The vital rates of a `rates` object as `_read` returns it, truncated
+    at clamp."""
 
     def family(section: str, build):
         coeffs = {key: _resolve_coeff(value, space, f"rates.{section}.{key}")
@@ -303,6 +298,7 @@ def build_rates(spec: dict, space: StrategySpace) -> VitalRates:
         dilution=spec["dilution"],
         uptake=family("uptake", UptakeSpec.build),
         mortality=family("mortality", MortalitySpec.build),
+        clamp=clamp,
     )
 
 
@@ -311,12 +307,12 @@ class Scenario:
     """A fully validated scenario ready to run.
 
     The strategy space is state0.space, the truncation level N is
-    rates.clamp and t_end is the document's control.t_end, the horizon
-    of the run.
+    rates.clamp (the rates were checked at it when built) and t_end is the
+    document's control.t_end, the horizon of the run.
     """
 
     kernel: MutationKernel
-    rates: VitalRates            # truncated
+    rates: VitalRates
     state0: SystemState
     t_end: float
     control: StepControl
@@ -328,15 +324,22 @@ def build_scenario(cfg: dict) -> Scenario:
 
     Raises ConfigError for structural problems and ValidationError when the
     rate assumptions fail their checks. The truncation level is decided here
-    and nowhere else. The integer "seed" is a label: it enters the hash and
+    and nowhere else: the document's `truncation`, or else
+    default_truncation_level of the inflow, the dilution and the initial
+    state. The rates are built once, at that level, before the initial state
+    is checked. The integer "seed" is a label: it enters the hash and
     changes no computed value.
     """
     doc = _read(cfg, "", "scenario")
     space = build_space(doc["space"])
     kernel = build_kernel(doc["kernel"], space)
-    rates = build_rates(doc["rates"], space)
-
     S0, weights = doc["initial"]["S"], doc["initial"]["weights"]
+    truncation = doc.get("truncation")
+    if truncation is None:
+        truncation = default_truncation_level(
+            doc["rates"]["inflow"], doc["rates"]["dilution"], S0, float(weights.sum()))
+    rates = build_rates(doc["rates"], space, truncation)
+
     if weights.shape != (space.size,):
         raise ConfigError(
             f"initial.weights: expected {space.size} values, got {weights.shape}"
@@ -344,17 +347,6 @@ def build_scenario(cfg: dict) -> Scenario:
     state0 = SystemState(S0, DiscreteMeasure(space, weights))
     if not state0.in_cone():
         raise ConfigError("initial state must lie in the nonnegative cone")
-
-    truncation = doc.get("truncation")
-    if truncation is None:
-        truncation = float(default_truncation_level(rates, S0, float(weights.sum())))
-    rates = truncate(rates, truncation)
-
-    report = rates.assumptions
-    if not report.ok:
-        raise ValidationError(
-            "rate assumptions failed: " + "; ".join(report.messages)
-        )
 
     control = doc["control"]
     if "lambda" in control:

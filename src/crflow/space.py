@@ -41,7 +41,7 @@ class StrategySpace:
             raise ConfigError(
                 f"metric: shape {metric.shape} does not match {n} points"
             )
-        if not np.allclose(metric, metric.T, atol=0.0):
+        if not np.array_equal(metric, metric.T):
             raise ConfigError("metric: must be symmetric")
         if np.any(np.diag(metric) != 0.0):
             raise ConfigError("metric: diagonal must be zero")

@@ -14,7 +14,6 @@ from crflow.rates import (
     UptakeSpec,
     VitalRates,
     default_truncation_level,
-    truncate,
 )
 from crflow.space import StrategySpace, build_grid, euclidean_metric
 
@@ -47,12 +46,8 @@ def random_admissible_scenario(rng, max_atoms=20):
         )
     else:
         mortality = MortalitySpec.build("constant", n, d0)
-    rates = VitalRates(
-        inflow=float(rng.uniform(0.2, 1.5)),
-        dilution=float(rng.uniform(0.3, 1.5)),
-        uptake=uptake,
-        mortality=mortality,
-    )
+    inflow = float(rng.uniform(0.2, 1.5))
+    dilution = float(rng.uniform(0.3, 1.5))
     if n > 1 and rng.random() < 0.6:
         K = local_mutation_kernel(space, float(rng.uniform(0.05, 0.5)))
     else:
@@ -61,10 +56,10 @@ def random_admissible_scenario(rng, max_atoms=20):
     w = rng.uniform(0.0, 1.0, n)
     w = w * float(rng.uniform(0.1, 2.0)) / max(w.sum(), 1e-9)
     state0 = SystemState(S0, DiscreteMeasure(space, w))
-    N = default_truncation_level(rates, S0, float(w.sum()))
+    N = default_truncation_level(inflow, dilution, S0, float(w.sum()))
     return {
         "space": space,
-        "rates": truncate(rates, N),
+        "rates": VitalRates(inflow, dilution, uptake, mortality, clamp=N),
         "kernel": K,
         "state0": state0,
         "truncation": N,

@@ -5,6 +5,7 @@ suite doubles as a release report: run with `pytest tests/test_acceptance.py
 -v -s`. Tolerances are the contract values; tests fail if any is exceeded.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -27,12 +28,7 @@ from crflow.measure import (
     dirac,
     flat_distance,
 )
-from crflow.rates import (
-    MortalitySpec,
-    UptakeSpec,
-    VitalRates,
-    truncate,
-)
+from crflow.rates import MortalitySpec, UptakeSpec, VitalRates
 from crflow.space import StrategySpace, build_grid
 
 from conftest import random_admissible_scenario, random_space
@@ -128,28 +124,24 @@ def test_05_unification():
     control = StepControl(dt=1e-3)
     devs = []
     sp1 = build_grid(1, [(0.5, 0.5)], [1])
-    rates1 = truncate(
-        VitalRates(
-            inflow=1.0, dilution=1.0,
-            uptake=UptakeSpec.build("monod", 1, 1.0, a=1.0),
-            mortality=MortalitySpec.build("constant", 1, 0.3),
-        ),
-        4.0,
+    rates1 = VitalRates(
+        inflow=1.0, dilution=1.0,
+        uptake=UptakeSpec.build("monod", 1, 1.0, a=1.0),
+        mortality=MortalitySpec.build("constant", 1, 0.3),
+        clamp=4.0,
     )
     state1 = SystemState(1.0, DiscreteMeasure(sp1, np.array([0.5])))
     devs.append(compare_to_ode(state1, 2.0, control, rates1,
                                pure_selection_kernel(sp1)))
 
     sp3 = build_grid(1, [(0.0, 1.0)], [3])
-    rates3 = truncate(
-        VitalRates(
-            inflow=1.0, dilution=0.8,
-            uptake=UptakeSpec.build("monod", 3, [1.0, 1.2, 0.9],
-                                    a=[1.0, 0.6, 1.4]),
-            mortality=MortalitySpec.build("decreasing", 3, [0.3, 0.35, 0.25],
-                                          c=[0.1, 0.0, 0.05]),
-        ),
-        4.0,
+    rates3 = VitalRates(
+        inflow=1.0, dilution=0.8,
+        uptake=UptakeSpec.build("monod", 3, [1.0, 1.2, 0.9],
+                                a=[1.0, 0.6, 1.4]),
+        mortality=MortalitySpec.build("decreasing", 3, [0.3, 0.35, 0.25],
+                                      c=[0.1, 0.0, 0.05]),
+        clamp=4.0,
     )
     state3 = SystemState(
         0.8, DiscreteMeasure(sp3, np.array([0.2, 0.4, 0.1]))
@@ -256,13 +248,11 @@ def test_08_bullet_inequalities():
 def test_09_concentration():
     start = time.monotonic()
     sp = build_grid(1, [(0.0, 1.0)], [2])
-    rates = truncate(
-        VitalRates(
-            inflow=1.0, dilution=1.0,
-            uptake=UptakeSpec.build("monod", 2, [1.0, 1.0], a=[0.5, 1.5]),
-            mortality=MortalitySpec.build("constant", 2, 0.3),
-        ),
-        4.0,
+    rates = VitalRates(
+        inflow=1.0, dilution=1.0,
+        uptake=UptakeSpec.build("monod", 2, [1.0, 1.0], a=[0.5, 1.5]),
+        mortality=MortalitySpec.build("constant", 2, 0.3),
+        clamp=4.0,
     )
     # distinct break-evens: atom 0 survives at lower substrate
     s_star = breakevens(rates)
@@ -317,7 +307,7 @@ def test_10_rk4_order_and_truncation():
 
     N = rates.clamp
     wide = integrate(state0, 2.0, StepControl(dt=1e-3),
-                     truncate(rates, 2.0 * N), K).endpoint()
+                     dataclasses.replace(rates, clamp=2.0 * N), K).endpoint()
     tight = integrate(state0, 2.0, StepControl(dt=1e-3), rates, K).endpoint()
     gap = abs(wide.S - tight.S) + float(
         np.abs(wide.mu.weights - tight.mu.weights).max()

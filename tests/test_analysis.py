@@ -15,7 +15,7 @@ from crflow.dynamics import StepControl, SystemState, integrate
 from crflow.errors import ConfigError, ValidationError
 from crflow.kernel import local_mutation_kernel, pure_selection_kernel
 from crflow.measure import DiscreteMeasure, dirac
-from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
+from crflow.rates import MortalitySpec, UptakeSpec, VitalRates
 from crflow.scenario import build_scenario, load_config
 from crflow.space import StrategySpace, build_grid
 
@@ -26,40 +26,37 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def make_rates(n=1, b=1.0, a=1.0, d_family="constant", d0=0.3, c=None,
-               inflow=1.0, dilution=1.0):
+               inflow=1.0, dilution=1.0, clamp=4.0):
     return VitalRates(
         inflow=inflow,
         dilution=dilution,
         uptake=UptakeSpec.build("monod", n, b, a=a),
         mortality=MortalitySpec.build(d_family, n, d0, c=c),
+        clamp=clamp,
     )
 
 
 class TestDissipativityBound:
     def test_all_rates_one(self):
-        r = truncate(make_rates(d0=1.0), 4.0)
+        r = make_rates(d0=1.0)
         assert dissipativity_bound(r) == 1.0
 
     def test_dilution_limited(self):
-        r = truncate(make_rates(inflow=2.0, dilution=0.5, d0=3.0), 4.0)
+        r = make_rates(inflow=2.0, dilution=0.5, d0=3.0)
         assert dissipativity_bound(r) == 4.0
 
     def test_zero_inflow(self):
-        r = truncate(make_rates(inflow=0.0), 4.0)
+        r = make_rates(inflow=0.0)
         assert dissipativity_bound(r) == 0.0
 
     def test_uses_truncation_level_by_default(self):
-        r = truncate(make_rates(d_family="decreasing", d0=0.5, c=0.5), 4.0)
+        r = make_rates(d_family="decreasing", d0=0.5, c=0.5)
         # floor at S = 4 is 0.5 + 0.5/5 = 0.6
         assert dissipativity_bound(r) == pytest.approx(1.0 / 0.6)
 
-    def test_untruncated_without_s_max_rejected(self):
-        with pytest.raises(ConfigError):
-            dissipativity_bound(make_rates())
-
     def test_zero_floor_rejected(self):
         with pytest.raises(ValidationError):
-            dissipativity_bound(truncate(make_rates(d0=0.0), 4.0))
+            dissipativity_bound(make_rates(d0=0.0))
 
 
 class TestConcentration:
@@ -105,23 +102,19 @@ class TestConcentration:
 class TestBreakeven:
     def test_monod_closed_form(self):
         # b*S/(a+S) = d0 at S = a*d0/(b - d0); b = a = 1, d0 = 0.3 gives 3/7
-        r = truncate(make_rates(), 10.0)
+        r = make_rates(clamp=10.0)
         assert breakevens(r)[0] == pytest.approx(3.0 / 7.0, rel=1e-15)
 
     def test_no_root_when_mortality_dominates(self):
-        r = truncate(make_rates(b=0.5, d0=0.6), 100.0)
+        r = make_rates(b=0.5, d0=0.6, clamp=100.0)
         assert breakevens(r) == [None]
 
     def test_per_atom(self):
-        r = truncate(make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3), 10.0)
+        r = make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3, clamp=10.0)
         lo, hi = breakevens(r)
         assert lo == pytest.approx(0.5 * 0.3 / 0.7, rel=1e-15)
         assert hi == pytest.approx(1.5 * 0.3 / 0.7, rel=1e-15)
         assert lo < hi
-
-    def test_untruncated_rates_raise(self):
-        with pytest.raises(ConfigError, match="break-evens need truncated rates"):
-            breakevens(make_rates())
 
     def test_desk_chemostat(self):
         sc = build_scenario(load_config(SCENARIOS / "desk_chemostat.json"))
@@ -136,7 +129,7 @@ class TestCompetitiveExclusion:
 
     def test_substrate_settles_at_least_breakeven(self):
         sp = build_grid(1, [(0.0, 1.0)], [2])
-        rates = truncate(make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3), 4.0)
+        rates = make_rates(n=2, b=[1.0, 1.0], a=[0.5, 1.5], d0=0.3)
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.3, 0.3])))
         end = integrate(state0, 200.0, StepControl(dt=0.01, record_every=20000),
                         rates, pure_selection_kernel(sp)).endpoint()
@@ -150,14 +143,13 @@ class TestCompetitiveExclusion:
 
 
 # (b, a, d0, c) per atom: four ordinary roots, mortality above uptake
-# everywhere (no root), f(0) > 0 (0.0 at once), f(0) = 0 with f > 0 beyond
-# (0.0, where the bisection closes in on 0), a near-tie of uptake and
-# mortality, and, for linear uptake on [0, 10], f = 0.2 * 5 - 1 = 0 exactly
-# at the bisection's first midpoint.
+# everywhere (no root), a near-tie of uptake and mortality, and, for linear
+# uptake on [0, 10], f = 0.2 * 5 - 1 = 0 exactly at the bisection's first
+# midpoint. Admissible rates have f(0) = -D(0) < 0 at every atom.
 BREAKEVEN_ATOMS = [
     (1.0, 1.0, 0.3, 0.1), (0.7, 0.6, 0.2, 0.0), (1.3, 2.0, 0.4, 0.3),
-    (2.0, 0.5, 0.9, 0.05), (0.5, 1.0, 50.0, 0.2), (1.0, 1.0, -0.2, 0.1),
-    (1.0, 1.0, 0.0, 0.0), (1.0, 1e-3, 0.999, 0.0), (0.2, 1.0, 1.0, 0.0),
+    (2.0, 0.5, 0.9, 0.05), (0.5, 1.0, 50.0, 0.2),
+    (1.0, 1e-3, 0.999, 0.0), (0.2, 1.0, 1.0, 0.0),
 ]
 
 
@@ -172,12 +164,13 @@ class TestBreakevensMatchScalarBisection:
     def test_within_bisection_bracket(self, family, d_family, top):
         b, a, d0, c = (list(col) for col in zip(*BREAKEVEN_ATOMS))
         n = len(b)
-        r = truncate(VitalRates(
+        r = VitalRates(
             inflow=1.0, dilution=1.0,
             uptake=UptakeSpec.build(family, n, b, a=a),
             mortality=MortalitySpec.build(
                 d_family, n, d0, c=c if d_family == "decreasing" else None),
-        ), top)
+            clamp=top,
+        )
         got = breakevens(r)
         want = [breakeven(r, i, top) for i in range(n)]
         assert [type(x) for x in got] == [type(x) for x in want]
@@ -187,20 +180,24 @@ class TestBreakevensMatchScalarBisection:
     def test_cases_are_covered(self):
         n = len(BREAKEVEN_ATOMS)
         b, a, d0, c = (list(col) for col in zip(*BREAKEVEN_ATOMS))
-        r = truncate(VitalRates(
+        r = VitalRates(
             inflow=1.0, dilution=1.0, uptake=UptakeSpec.build("monod", n, b, a=a),
-            mortality=MortalitySpec.build("decreasing", n, d0, c=c)), 2.5)
+            mortality=MortalitySpec.build("decreasing", n, d0, c=c), clamp=2.5)
         got = breakevens(r)
         assert got[4] is None
-        assert got[5] == 0.0
-        assert got[6] == 0.0
         assert all(0.0 < x < 2.5 for x in got[:4])
+
+    @pytest.mark.parametrize("d0, c", [(-0.2, 0.1), (0.0, 0.0)])
+    def test_no_rates_with_f_at_zero_nonnegative(self, d0, c):
+        # f(0) > 0 and f(0) = 0 need D(0) <= 0, which building refuses
+        with pytest.raises(ValidationError, match="mortality floor"):
+            make_rates(d_family="decreasing", d0=d0, c=c)
 
 
 class TestUnification:
     def test_single_strain_exact(self):
         sp = build_grid(1, [(0.5, 0.5)], [1])
-        rates = truncate(make_rates(), 4.0)
+        rates = make_rates()
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.5])))
         dev = compare_to_ode(
             state0, 2.0, StepControl(dt=1e-3), rates, pure_selection_kernel(sp)
@@ -209,9 +206,7 @@ class TestUnification:
 
     def test_three_strains_exact(self):
         sp = build_grid(1, [(0.0, 1.0)], [3])
-        rates = truncate(
-            make_rates(n=3, b=[1.0, 1.2, 0.8], a=[1.0, 0.7, 1.3], d0=0.3), 4.0
-        )
+        rates = make_rates(n=3, b=[1.0, 1.2, 0.8], a=[1.0, 0.7, 1.3], d0=0.3)
         state0 = SystemState(
             1.0, DiscreteMeasure(sp, np.array([0.2, 0.3, 0.1]))
         )
@@ -222,7 +217,7 @@ class TestUnification:
 
     def test_mutation_kernel_rejected(self):
         sp = build_grid(1, [(0.0, 1.0)], [3])
-        rates = truncate(make_rates(n=3), 4.0)
+        rates = make_rates(n=3)
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
         with pytest.raises(ConfigError):
             compare_to_ode(
@@ -235,7 +230,7 @@ class TestUnification:
 
     def test_mutation_genuinely_differs_from_reduced_system(self):
         sp = build_grid(1, [(0.0, 1.0)], [3])
-        rates = truncate(make_rates(n=3, b=[1.4, 1.0, 0.6], d0=0.3), 4.0)
+        rates = make_rates(n=3, b=[1.4, 1.0, 0.6], d0=0.3)
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.array([0.0, 0.0, 0.4])))
         K = local_mutation_kernel(sp, 0.3)
         full = integrate(state0, 3.0, StepControl(dt=1e-3), rates, K)

@@ -315,6 +315,21 @@ class TestFlatnorm:
         assert err["type"] == "ConfigError"
         assert err["message"] == f"{path}: {message}"
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["a_b", "b_a"])
+    def test_given_metric_must_be_exactly_symmetric(self, tmp_path, capsys, swap):
+        # within numpy's default rtol of 1e-5, but not symmetric
+        space = {"points": [[0.0], [1.0]], "metric": [[0.0, 1.0], [1.000009, 0.0]]}
+        a = write_cfg(tmp_path, {"space": space, "weights": [[0, 1.0]]}, "a.json")
+        b = write_cfg(tmp_path, {"space": space, "weights": [[1, 1.0]]}, "b.json")
+        first, second = (b, a) if swap else (a, b)
+        code = main(["flatnorm", str(first), str(second)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ConfigError", "exit_code": 2,
+            "message": f"{first}: space.metric: must be symmetric"}
+
     def test_failed_certificate_exits_3(self, monkeypatch, capsys):
         solve = crflow.measure.solve_lp
 
@@ -348,8 +363,8 @@ class TestFlatnorm:
 
 
 class TestRateSampling:
-    """The truncated rates are sampled on their RATE_SAMPLES grid once per
-    run, whatever reads their assumptions."""
+    """The rates are sampled on their RATE_SAMPLES grid once per run, when
+    they are built, whatever reads their assumptions."""
 
     @pytest.mark.parametrize("command, name", [
         ("simulate", "desk_chemostat"),         # rk4
@@ -663,7 +678,11 @@ class TestConfigErrors:
         (lambda cfg: cfg["control"].update(method="picard", nodes=512),
          "control.nodes: "),
         (lambda cfg: cfg["control"].update(method="picard", **{"lambda": -1}),
-         "control.lambda: expected a number >= 0 or null, got -1"),
+         "lambda must be a finite number >= 0 or None, got -1.0"),
+        # a given metric is symmetric bit for bit, not within numpy's rtol
+        (lambda cfg: cfg.update(space={"points": [[0.0], [1.0]],
+                                       "metric": [[0.0, 1.0], [1.000009, 0.0]]}),
+         "space.metric: must be symmetric"),
         (lambda cfg: cfg["space"]["grid"].update(counts=[2.5]),
          "space.grid.counts: expected an integer, got 2.5"),
         (lambda cfg: cfg["space"]["grid"].update(counts=True),
@@ -764,6 +783,8 @@ class TestConfigErrors:
          "tolerance must be positive, got 0.0"),
         ("picard_chemostat.json", {"dt": -1.0}, "dt must be positive"),
         ("picard_chemostat.json", {"dt": 0.0}, "dt must be positive"),
+        ("picard_chemostat.json", {"lambda": -1},
+         "lambda must be a finite number >= 0 or None, got -1.0"),
         # one horizon rule for both integrators
         ("washout.json", {"method": "rk4", "t_end": 0},
          "t_end must be positive and finite, got 0.0"),
@@ -772,7 +793,7 @@ class TestConfigErrors:
         ("picard_chemostat.json", {"t_end": 0},
          "t_end must be positive and finite, got 0.0"),
     ], ids=["adaptive_tol", "rk4_tol", "picard_dt_negative", "picard_dt_zero",
-            "rk4_t_end_zero", "adaptive_t_end_zero", "picard_t_end_zero"])
+            "picard_lambda_negative", "rk4_t_end_zero", "adaptive_t_end_zero", "picard_t_end_zero"])
     def test_one_verdict_per_control(self, tmp_path, capsys, scenario, control,
                                      message):
         cfg = load_config(SCENARIOS / scenario)
@@ -793,6 +814,40 @@ class TestConfigErrors:
         with open(sweep / "summary.csv", newline="", encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
         assert (row["status"], row["error"]) == ("validation-error", message)
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_inadmissible_rates_come_before_the_initial_state(self, tmp_path, capsys,
+                                                              command):
+        cfg = washout_cfg()
+        cfg["rates"]["mortality"]["d0"] = 0
+        cfg["initial"]["S"] = -1
+        argv = [command, "--scenario", str(write_cfg(tmp_path, cfg))]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ValidationError", "exit_code": 2,
+            "message": "rate assumptions failed: mortality floor 0.0 is not positive"}
+
+    # the default truncation level reads the dilution before the rates
+    # check it, so it must not divide by it
+    @pytest.mark.parametrize("dilution", [0, -1])
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_default_truncation_with_a_bad_dilution(self, tmp_path, capsys, command,
+                                                    dilution):
+        cfg = washout_cfg()
+        assert cfg["truncation"] is None
+        cfg["rates"]["dilution"] = dilution
+        argv = [command, "--scenario", str(write_cfg(tmp_path, cfg))]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ConfigError", "exit_code": 2, "message": "dilution must be positive"}
 
     # A horizon shorter than every end tolerance of the integrators is still
     # a run to t_end, so simulate and check agree on it as well.

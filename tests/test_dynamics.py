@@ -20,7 +20,7 @@ from crflow.kernel import (
     pure_selection_kernel,
 )
 from crflow.measure import DiscreteMeasure, flat_distance
-from crflow.rates import MortalitySpec, UptakeSpec, VitalRates, truncate
+from crflow.rates import MortalitySpec, UptakeSpec, VitalRates
 from crflow.scenario import build_scenario, run
 from crflow.space import build_grid
 
@@ -36,6 +36,7 @@ def washout_setup():
         dilution=1.0,
         uptake=UptakeSpec.build("monod", 1, 1.0, a=1.0),
         mortality=MortalitySpec.build("constant", 1, 0.3),
+        clamp=2.0,
     )
     state0 = SystemState(0.0, DiscreteMeasure(sp, np.zeros(1)))
     return sp, rates, pure_selection_kernel(sp), state0
@@ -48,6 +49,7 @@ def single_strain(b=1.0, a=1.0, d0=0.3, S0=1.0, m0=0.5):
         dilution=1.0,
         uptake=UptakeSpec.build("monod", 1, b, a=a),
         mortality=MortalitySpec.build("constant", 1, d0),
+        clamp=2.0,
     )
     state0 = SystemState(S0, DiscreteMeasure(sp, np.array([m0])))
     return sp, rates, pure_selection_kernel(sp), state0
@@ -100,6 +102,7 @@ class TestStepRK4:
             dilution=1.0,
             uptake=UptakeSpec.build("monod", 1, 1.0, a=1.0),
             mortality=MortalitySpec.build("constant", 1, 0.3),
+            clamp=2.0,
         )
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
         K = pure_selection_kernel(sp)
@@ -260,14 +263,14 @@ class TestPicard:
         # one iteration, and a second iteration changes nothing
         sp, rates, K, _ = washout_setup()
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
-        traj = picard_solve(state, 1.0, StepControl(), truncate(rates, 2.0), K)
+        traj = picard_solve(state, 1.0, StepControl(), rates, K)
         assert traj.metadata["iterations"] == [2]
         # quadrature error of the trapezoid rule sets the scale here
         assert np.abs(traj.S - 1.0).max() < 1e-6
 
     def test_washout_closed_form(self):
         _, rates, K, state0 = washout_setup()
-        traj = picard_solve(state0, 1.0, StepControl(), truncate(rates, 2.0), K)
+        traj = picard_solve(state0, 1.0, StepControl(), rates, K)
         exact = 1.0 - np.exp(-traj.times)
         assert np.abs(traj.S - exact).max() < 1e-6
 
@@ -289,7 +292,7 @@ class TestPicard:
 
     def test_long_horizon_windows(self):
         sp, rates, K, state0 = single_strain()
-        traj = picard_solve(state0, 3.0, StepControl(), truncate(rates, 2.0), K)
+        traj = picard_solve(state0, 3.0, StepControl(), rates, K)
         assert traj.metadata["windows"] == 3
         assert traj.times[-1] == pytest.approx(3.0, abs=1e-12)
         rk = integrate(state0, 3.0, StepControl(dt=1e-3), rates, K)
@@ -359,6 +362,7 @@ class TestPicard:
             dilution=1.0,
             uptake=UptakeSpec.build("monod", 2, [1.0, 1.0], a=1.0),
             mortality=MortalitySpec.build("constant", 2, 0.3),
+            clamp=2.0,
         )
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
         with pytest.raises(ConfigError, match="do not match the atom count"):
@@ -366,12 +370,13 @@ class TestPicard:
 
 
 def rates_on(n_uptake, n_mortality, d0=0.3):
-    return truncate(VitalRates(
+    return VitalRates(
         inflow=1.0,
         dilution=1.0,
         uptake=UptakeSpec.build("monod", n_uptake, 1.0, a=1.0),
         mortality=MortalitySpec.build("constant", n_mortality, d0),
-    ), 2.0)
+        clamp=2.0,
+    )
 
 
 SOLVERS = {
@@ -400,11 +405,6 @@ class TestInputChecks:
         state0 = SystemState(1.0, DiscreteMeasure(sp, np.full(3, 0.2)))
         with pytest.raises(ConfigError, match="do not match the atom count"):
             SOLVERS[solver](state0, 1.0, rates_on(*counts), pure_selection_kernel(sp))
-
-    def test_picard_needs_truncated_rates(self):
-        _, rates, K, state0 = single_strain()
-        with pytest.raises(ConfigError, match="need truncated rates"):
-            picard_solve(state0, 1.0, StepControl(), rates, K)
 
     @pytest.mark.parametrize("d0", [0.0, -0.1])
     def test_picard_needs_a_positive_mortality_floor(self, d0):
@@ -463,26 +463,29 @@ def array_rate_rhs(rates, K):
 
 
 def mutation_setup():
-    """Four atoms, gaussian kernel, decreasing mortality, truncated rates."""
+    """Four atoms, gaussian kernel, decreasing mortality, truncation at 6."""
     sp = build_grid(1, [(0.0, 1.0)], [4])
     rates = VitalRates(
         inflow=1.3,
         dilution=0.8,
         uptake=UptakeSpec.build("monod", 4, [0.8, 1.0, 1.2, 1.4], a=[1.0, 0.9, 1.2, 1.5]),
         mortality=MortalitySpec.build("decreasing", 4, [0.3, 0.35, 0.4, 0.45], c=0.2),
+        clamp=6.0,
     )
     state0 = SystemState(0.7, DiscreteMeasure(sp, np.array([0.4, 0.1, 0.0, 0.3])))
-    return truncate(rates, 6.0), local_mutation_kernel(sp, 0.3), state0
+    return rates, local_mutation_kernel(sp, 0.3), state0
 
 
 def selection_setup():
-    """Three atoms, pure selection, linear uptake, untruncated rates."""
+    """Three atoms, pure selection, linear uptake, truncation above the
+    trajectory (S stays at most S0 = 1.5)."""
     sp = build_grid(1, [(0.0, 1.0)], [3])
     rates = VitalRates(
         inflow=0.9,
         dilution=1.1,
         uptake=UptakeSpec.build("linear", 3, [0.9, 1.1, 1.3]),
         mortality=MortalitySpec.build("constant", 3, [0.25, 0.3, 0.5]),
+        clamp=4.0,
     )
     state0 = SystemState(1.5, DiscreteMeasure(sp, np.array([0.2, 0.5, 0.3])))
     return rates, pure_selection_kernel(sp), state0
@@ -568,6 +571,17 @@ class TestStepControl:
     def test_record_every_takes_any_integer_type(self, k):
         assert StepControl(record_every=k).record_every == k
 
+    @pytest.mark.parametrize("lam", [-5.0, -1000.0, math.nan, math.inf])
+    def test_lam_is_none_or_a_finite_number_of_at_least_zero(self, lam):
+        with pytest.raises(ConfigError) as info:
+            StepControl(method="picard", lam=lam)
+        assert str(info.value) == (
+            f"lambda must be a finite number >= 0 or None, got {lam!r}")
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 7.5])
+    def test_lam_takes_none_and_finite_numbers_of_at_least_zero(self, lam):
+        assert StepControl(method="picard", lam=lam).lam == lam
+
     def test_frozen(self):
         control = StepControl()
         with pytest.raises(FrozenInstanceError):
@@ -634,6 +648,8 @@ class TestStepChecks:
 
     def test_nonfinite_state_aborts(self):
         rates, K, _ = selection_setup()
+        # truncation at S0: the linear uptake grows until the state overflows
+        rates = replace(rates, clamp=1e300)
         state0 = SystemState(1e300, DiscreteMeasure(K.space, np.array([0.2, 0.5, 0.3])))
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
             integrate(state0, 1.0, StepControl(dt=0.1), rates, K)
