@@ -21,6 +21,7 @@ from crflow.errors import (
     NumericalError,
     PositivityError,
     StiffnessError,
+    require_number,
 )
 from crflow.kernel import MutationKernel
 from crflow.measure import DiscreteMeasure
@@ -31,7 +32,7 @@ WEIGHT_CLAMP_TOL = 1e-9
 MIN_ADAPTIVE_STEP = 1e-12
 MAX_STEPS = 50_000_000      # steps (Picard: nodes) one run may take
 PICARD_TOL = 1e-12          # sup increment between iterates that ends a window
-PICARD_NODES = 512          # trapezoid intervals per window
+PICARD_NODES = 512          # quadrature intervals per window (at least 3)
 PICARD_MAX_ITER = 200       # iterations per window before ConvergenceError
 PICARD_WINDOW = 1.0         # longest window; longer horizons chain windows
 METHODS = ("rk4", "adaptive", "picard")
@@ -59,8 +60,8 @@ class SystemState:
 class StepControl:
     """Integrator selection and step control; the horizon is each run's own
     argument. Building one raises a ConfigError unless method is in METHODS,
-    dt and tolerance are positive, record_every is an integer >= 1 and lam
-    is None or a finite number >= 0."""
+    dt and tolerance are positive numbers, record_every is an integer >= 1
+    and lam is None or a finite number >= 0."""
 
     method: str = "rk4"          # one of METHODS; "picard" runs picard_solve
     dt: float = 1e-3
@@ -71,6 +72,10 @@ class StepControl:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown integrator {self.method!r}")
+        require_number("dt", self.dt)
+        require_number("tolerance", self.tolerance)
+        if self.lam is not None:
+            require_number("lam", self.lam)
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if not self.tolerance > 0:
@@ -272,10 +277,19 @@ def integrate(
     )
 
 
-def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    """Composite-trapezoid cumulative integral along axis 0."""
+def _cumquad(y: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order cumulative integral along axis 0 of samples y at spacing h.
+
+    Interval k gets h/24 (-y[k-1] + 13 y[k] + 13 y[k+1] - y[k+2]); the first
+    gets h/24 (9 y[0] + 19 y[1] - 5 y[2] + y[3]) and the last its mirror image.
+    Each is exact for cubics; y needs at least four samples.
+    """
+    pieces = np.empty((len(y) - 1,) + y.shape[1:])
+    pieces[1:-1] = 13.0 * (y[1:-2] + y[2:-1]) - (y[:-3] + y[3:])
+    pieces[0] = 9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]
+    pieces[-1] = 9.0 * y[-1] + 19.0 * y[-2] - 5.0 * y[-3] + y[-4]
     out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * h * (y[1:] + y[:-1]), axis=0)
+    out[1:] = np.cumsum((h / 24.0) * pieces, axis=0)
     return out
 
 
@@ -317,9 +331,10 @@ def picard_solve(
         mu(t) = E(0,t) . mu0 + int_0^t E(s,t) . F21(zeta(s)) ds
     where F11 = inflow - mu[B(S,.)], F21 is the birth measure pushed through
     the kernel, and E(s,t) decays each atom by its accumulated mortality.
-    Time integrals use the composite trapezoid rule on PICARD_NODES
-    intervals; windows of length at most PICARD_WINDOW are chained for
-    longer horizons.
+    Time integrals use a fourth-order cumulative rule (_cumquad) on
+    PICARD_NODES uniform intervals, so the endpoint error falls 16-fold when
+    the spacing halves; windows of length at most PICARD_WINDOW are chained
+    for longer horizons.
     A window ends when the sup distance between successive iterates (|dS|
     plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
 
@@ -370,9 +385,9 @@ def picard_solve(
             birth = B * W_arr
             F11 = inflow - birth.sum(axis=1)
             F21 = birth @ KT_rows
-            S_new = shrink * (S0 + _cumtrapz(grow * F11, h))
-            Idm = _cumtrapz(Dm, h)
-            W_new = np.exp(-Idm) * (W0 + _cumtrapz(np.exp(Idm) * F21, h))
+            S_new = shrink * (S0 + _cumquad(grow * F11, h))
+            Idm = _cumquad(Dm, h)
+            W_new = np.exp(-Idm) * (W0 + _cumquad(np.exp(Idm) * F21, h))
             increment = np.abs(S_new - S_arr) + np.abs(W_new - W_arr).sum(axis=1)
             weighted = float(np.max(decay_weight * increment))
             if prev_weighted is not None and weighted >= PICARD_TOL:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type check on
+numeric construction arguments that raises one of them."""
+
+import numbers
 
 
 class CrflowError(Exception):
@@ -31,3 +34,10 @@ class ConvergenceError(NumericalError):
 
 class StiffnessError(NumericalError):
     """Adaptive step size underflowed."""
+
+
+def require_number(name: str, value) -> None:
+    """Raise a ConfigError naming the field unless value is a real number
+    (a Python or numpy int or float, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")

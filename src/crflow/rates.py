@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crflow.errors import ConfigError, ValidationError
+from crflow.errors import ConfigError, ValidationError, require_number
 
 UPTAKE_FAMILIES = ("monod", "linear")
 MORTALITY_FAMILIES = ("constant", "decreasing")
@@ -94,11 +94,12 @@ class VitalRates:
 
     Both families see the substrate truncated to [0, clamp]; outside that
     band the rates are frozen at the boundary values, making them globally
-    bounded and Lipschitz. Building one raises a ConfigError unless inflow
-    >= 0, dilution > 0 and clamp is positive and finite, and a
-    ValidationError when a sampled check of `assumptions` fails, so every
-    VitalRates is admissible as it is. dataclasses.replace(rates, clamp=N)
-    gives the same rates at another level.
+    bounded and Lipschitz. Building one raises a ConfigError unless inflow,
+    dilution and clamp are numbers with inflow >= 0, dilution > 0 and clamp
+    positive and finite, and a ValidationError when a sampled check of
+    `assumptions` fails, so every VitalRates is admissible as it is.
+    dataclasses.replace(rates, clamp=N) gives the same rates at another
+    level.
     """
 
     inflow: float
@@ -108,6 +109,9 @@ class VitalRates:
     clamp: float
 
     def __post_init__(self):
+        require_number("inflow", self.inflow)
+        require_number("dilution", self.dilution)
+        require_number("clamp", self.clamp)
         if not self.inflow >= 0:
             raise ConfigError("inflow must be nonnegative")
         if not self.dilution > 0:

@@ -334,10 +334,14 @@ def build_scenario(cfg: dict) -> Scenario:
     space = build_space(doc["space"])
     kernel = build_kernel(doc["kernel"], space)
     S0, weights = doc["initial"]["S"], doc["initial"]["weights"]
+    with np.errstate(over="ignore"):
+        mass0 = float(weights.sum())
+    if not math.isfinite(mass0):
+        raise ConfigError(f"initial.weights: the total mass overflows to {mass0!r}")
     truncation = doc.get("truncation")
     if truncation is None:
         truncation = default_truncation_level(
-            doc["rates"]["inflow"], doc["rates"]["dilution"], S0, float(weights.sum()))
+            doc["rates"]["inflow"], doc["rates"]["dilution"], S0, mass0)
     rates = build_rates(doc["rates"], space, truncation)
 
     if weights.shape != (space.size,):

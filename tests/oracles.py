@@ -26,6 +26,11 @@ The kernel Lipschitz bound and the bullet actions of a function and of a
 kernel on a measure are the paper's estimates, written out for the tests
 that check them.
 
+`ode_endpoint` is the state at t_end of a 1-D grid document with monod or
+linear uptake, written out from the document alone and solved by scipy's
+DOP853 at rtol = atol = 1e-13; it is the reference for the order of
+`picard_solve`.
+
 `breakeven` bisects one atom's break-even level to a bracket of
 BREAKEVEN_TOL, evaluating the rates on a Python float; it is the oracle
 for `rates.breakevens`, which solves the quadratic that uptake = mortality
@@ -454,6 +459,50 @@ def compare_to_ode(state0, t_end, control, rates, K):
     dev_S = np.abs(full.S - reduced.S).max()
     dev_w = np.abs(full.weights - reduced.weights).max()
     return float(max(dev_S, dev_w))
+
+
+def ode_endpoint(cfg):
+    """(S, weights) at control.t_end of a 1-D grid document, by DOP853.
+
+    The equations, with Sc = S clipped to [0, truncation]:
+        S' = inflow - dilution S - sum_i B_i(Sc) w_i
+        w' = K^T (B(Sc) w) - D(Sc) w
+    B_i = b_i Sc / (a_i + Sc) (monod) or b_i Sc (linear), D_i = d0_i (+ c_i /
+    (1 + Sc) when decreasing), K the identity (pure selection) or the row-
+    normalised gaussian exp(-d^2 / (2 width^2)). The truncation must be given.
+    """
+    from scipy.integrate import solve_ivp
+
+    (lo, hi), = cfg["space"]["grid"]["bounds"]
+    x = np.linspace(lo, hi, cfg["space"]["grid"]["counts"][0])
+    n = len(x)
+    kern = cfg["kernel"]
+    if kern["family"] == "gaussian":
+        K = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * kern["width"] ** 2))
+        K /= K.sum(axis=1, keepdims=True)
+    else:
+        K = np.eye(n)
+    rates = cfg["rates"]
+    up, mo = rates["uptake"], rates["mortality"]
+    b = np.broadcast_to(np.asarray(up["b"], dtype=float), (n,))
+    a = np.broadcast_to(np.asarray(up.get("a", 1.0), dtype=float), (n,))
+    d0 = np.broadcast_to(np.asarray(mo["d0"], dtype=float), (n,))
+    c = np.broadcast_to(np.asarray(mo.get("c", 0.0), dtype=float), (n,))
+    top = cfg["truncation"]
+
+    def rhs(_t, y):
+        S, w = y[0], y[1:]
+        Sc = min(max(S, 0.0), top)
+        B = b * Sc / (a + Sc) if up["family"] == "monod" else b * Sc
+        D = d0 + c / (1.0 + Sc) if mo["family"] == "decreasing" else d0
+        return np.concatenate([[rates["inflow"] - rates["dilution"] * S - B @ w],
+                               K.T @ (B * w) - D * w])
+
+    y0 = np.concatenate([[cfg["initial"]["S"]], cfg["initial"]["weights"]])
+    sol = solve_ivp(rhs, (0.0, cfg["control"]["t_end"]), y0, method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    return float(sol.y[0, -1]), sol.y[1:, -1]
 
 
 def row_measure(K, i):

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
 import re
+import textwrap
 import time
 from pathlib import Path
 
@@ -602,9 +604,9 @@ class TestCheckRelayAndReference:
         assert not ok and res > 1e-6
 
     def test_checks_integrate_each_state_once(self, monkeypatch):
-        # desk_chemostat, dt 1e-3 to t_end 2: the main run (2000 steps), the
-        # relay from step 1000 (a half step, 999 steps and a half step) and
-        # the half-dt run (4000 steps); Picard reads the main run at t = 1.
+        # desk_chemostat, dt 1e-3 to t_end 2: the main run (2000 steps) and
+        # the relay from step 1000 (a half step, 999 steps and a half step);
+        # Picard solves to t = 1, where it reads the main run, and to t = 2.
         sc = build_scenario(load_config(SCENARIOS / "desk_chemostat.json"))
         steps = []
         real = crflow.cli.integrate
@@ -622,9 +624,9 @@ class TestCheckRelayAndReference:
             horizons.append(args[1]) or solve(*args)))
         rows = check_rows(sc)
         assert all(ok for ok, _ in rows.values())
-        assert steps == [2000, 1, 1000, 4000]
-        assert sum(steps) == 7001
-        assert horizons == [1.0]
+        assert steps == [2000, 1, 1000]
+        assert sum(steps) == 3001
+        assert horizons == [1.0, 2.0]
 
     @pytest.mark.parametrize("edit,horizon,picard_row,code", [
         ({"dt": 2.0, "t_end": 5.0}, 2.0, "FAIL", 1),     # one step in, dt > 1
@@ -643,12 +645,136 @@ class TestCheckRelayAndReference:
         monkeypatch.setattr(crflow.cli, "picard_solve", lambda *args: (
             horizons.append(args[1]) or solve(*args)))
         assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == code
-        assert horizons == ([] if horizon is None else [horizon])
+        # where the first solve ends short of t_end, a second one covers the
+        # whole horizon for step_accuracy
+        t_end = edit["t_end"]
+        assert horizons == ([] if horizon is None else
+                            [horizon] if horizon == t_end else [horizon, t_end])
         out = capsys.readouterr().out
         if picard_row is None:
             assert "t_end must be positive and finite, got 0.0" in out
         else:
             assert f"{picard_row} scenario.json picard_vs_rk" in out
+
+
+def seeded_rk4(k3_from_k1=False, drop_k4=False):
+    """dynamics._rk4 with k3 evaluated along k1, or k4 replaced by k3."""
+    def step(rhs, S, w, dt, k1=None):
+        k1S, k1w = rhs(S, w) if k1 is None else k1
+        k2S, k2w = rhs(S + 0.5 * dt * k1S, w + 0.5 * dt * k1w)
+        aS, aw = (k1S, k1w) if k3_from_k1 else (k2S, k2w)
+        k3S, k3w = rhs(S + 0.5 * dt * aS, w + 0.5 * dt * aw)
+        k4S, k4w = (k3S, k3w) if drop_k4 else rhs(S + dt * k3S, w + dt * k3w)
+        return (S + (dt / 6.0) * (k1S + 2.0 * k2S + 2.0 * k3S + k4S),
+                w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+    return step
+
+
+def seeded_rhs(dw_scale=1.0, transpose=False, dilution=True):
+    """dynamics._make_rhs with dw scaled, the kernel transposed or the
+    dilution dropped from dS."""
+    def make(rates, K):
+        KT = K.rows if transpose else K.rows.T
+        D = rates.dilution if dilution else 0.0
+
+        def rhs(S, w):
+            B = rates.uptake_values(S)
+            dS = rates.inflow - D * S - float(np.dot(B, w))
+            return dS, dw_scale * (np.dot(KT, B * w) - rates.mortality_values(S) * w)
+        return rhs
+    return make
+
+
+def seeded_tail(step):
+    """integrate with its remainder step replaced by `step`."""
+    source = inspect.getsource(crflow.dynamics.integrate)
+    tail = "S, w = _rk4(rhs, S, w, rem)"
+    assert tail in source
+    namespace = dict(vars(crflow.dynamics))
+    exec(textwrap.dedent(source.replace(tail, step)), namespace)
+    return namespace["integrate"]
+
+
+# Where each seeded defect goes: a name in crflow.dynamics, or `integrate`
+# as cli and scenario call it; the third entry builds the replacement.
+SEEDS = {
+    "k4_dropped": ("dynamics", "_rk4", lambda: seeded_rk4(drop_k4=True)),
+    "k3_from_k1": ("dynamics", "_rk4", lambda: seeded_rk4(k3_from_k1=True)),
+    "dw_scaled": ("dynamics", "_make_rhs", lambda: seeded_rhs(dw_scale=1.0 + 1e-4)),
+    "kernel_transposed": ("dynamics", "_make_rhs", lambda: seeded_rhs(transpose=True)),
+    "dilution_dropped": ("dynamics", "_make_rhs", lambda: seeded_rhs(dilution=False)),
+    "remainder_doubled": ("integrate", "integrate",
+                          lambda: seeded_tail("S, w = _rk4(rhs, S, w, 2.0 * rem)")),
+    "tail_dropped": ("integrate", "integrate", lambda: seeded_tail("pass")),
+}
+
+# The rows each seeded defect fails, on desk_chemostat, picard_chemostat,
+# sweep_inflow, washout and desk_chemostat to t_end 1.0005 (which ends in a
+# remainder step and has no mass_balance row). Before step_accuracy read
+# Picard, it read a dt/2 run that shares a defect of the right-hand side.
+MB, DI, SF, SA, PR = ("mass_balance", "dissipativity", "semiflow_law",
+                      "step_accuracy", "picard_vs_rk")
+SEEDED_FAILURES = {
+    "k4_dropped": [{MB, SA, PR}] * 4 + [{SA, PR}],
+    "k3_from_k1": [set(), set(), {MB}, set(), set()],
+    "dw_scaled": [{MB, SA, PR}] * 3 + [set(), {SA, PR}],
+    "kernel_transposed": [{MB, SA, PR}] * 2 + [set(), set(), {SA, PR}],
+    "dilution_dropped": [{MB, SA, PR}, {MB, DI, SA, PR}, {MB, DI, SA, PR},
+                         {MB, SA, PR}, {SA, PR}],
+    "remainder_doubled": [{SF}] * 4 + [{SA}],
+    "tail_dropped": [{SF}] * 4 + [{SA}],
+}
+
+
+def remainder_cfg():
+    """desk_chemostat to a horizon that is not a multiple of dt."""
+    cfg = load_config(SCENARIOS / "desk_chemostat.json")
+    cfg["control"]["t_end"] = 1.0005
+    return cfg
+
+
+class TestSeededDefects:
+    @pytest.mark.parametrize("defect, doc, failing", [
+        pytest.param(defect, doc, failing, id=f"{defect}-{doc}")
+        for defect, per_doc in SEEDED_FAILURES.items()
+        for doc, failing in zip(["desk_chemostat", "picard_chemostat", "sweep_inflow",
+                                 "washout", "remainder"], per_doc)
+    ])
+    def test_check_fails_the_rows_a_defect_reaches(self, monkeypatch, defect,
+                                                   doc, failing):
+        cfg = (remainder_cfg() if doc == "remainder"
+               else load_config(SCENARIOS / f"{doc}.json"))
+        sc = build_scenario(cfg)
+        where, name, build = SEEDS[defect]
+        seeded = build()
+        if where == "dynamics":
+            monkeypatch.setattr(crflow.dynamics, name, seeded)
+        else:
+            monkeypatch.setattr(crflow.cli, name, seeded)
+            monkeypatch.setattr(crflow.scenario, name, seeded)
+        rows = check_rows(sc)
+        assert {name for name, (ok, _) in rows.items() if not ok} == failing
+        assert (MB in rows) == (doc != "remainder")
+
+    def test_picard_leaving_the_cone_fails_rows(self, tmp_path, capsys):
+        # Stiff uptake: Picard's first window ends at S = -0.064. A restart
+        # from it would leave the cone, and from S = 0 Picard does not
+        # converge; the whole-horizon solve does, and the rows report the gap.
+        cfg = {"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [1]}},
+               "kernel": {"family": "pure_selection"},
+               "rates": {"inflow": 0.001, "dilution": 1.0,
+                         "uptake": {"family": "monod", "b": 200.0, "a": 0.1},
+                         "mortality": {"family": "constant", "d0": 0.3}},
+               "initial": {"S": 5.0, "weights": [0.5]},
+               "control": {"method": "rk4", "dt": 0.001, "t_end": 2.0},
+               "truncation": 10.0}
+        sc = build_scenario(json.loads(json.dumps(cfg)))
+        first = picard_solve(sc.state0, 1.0, sc.control, sc.rates, sc.kernel)
+        assert first.endpoint().S < -0.06
+        assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL scenario.json step_accuracy" in out
+        assert "FAIL scenario.json picard_vs_rk" in out
 
 
 class TestConfigErrors:
@@ -728,6 +854,12 @@ class TestConfigErrors:
          "initial.weights[1]: expected a number, got null"),
         (lambda cfg: cfg["initial"].update(weights=[0.3, "0.3"]),
          'initial.weights[1]: expected a number, got "0.3"'),
+        # finite weights whose total mass overflows, with either truncation
+        (lambda cfg: cfg["initial"].update(weights=[1e308, 1e308]),
+         "initial.weights: the total mass overflows to inf"),
+        (lambda cfg: cfg.update(truncation=5.0, initial={"S": 0.0,
+                                                         "weights": [1e308, 1e308]}),
+         "initial.weights: the total mass overflows to inf"),
         (lambda cfg: cfg["space"]["grid"].update(bounds=[[0.0, True]]),
          "space.grid.bounds[0][1]: expected a number, got true"),
         # a ragged array is named by its key, not by numpy's text

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import crflow.dynamics
 from crflow.dynamics import (
     StepControl,
     SystemState,
@@ -25,7 +26,7 @@ from crflow.scenario import build_scenario, run
 from crflow.space import build_grid
 
 from conftest import random_admissible_scenario
-from oracles import reference_integrate
+from oracles import ode_endpoint, reference_integrate
 
 
 def washout_setup():
@@ -257,22 +258,36 @@ class TestSemiflow:
             integrate(state0, -1.0, StepControl(), rates, K)
 
 
+def picard_doc(S=1.0, truncation=4.0, t_end=1.0):
+    """Three atoms, gaussian kernel, monod uptake and constant mortality."""
+    return {
+        "space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [3]}},
+        "kernel": {"family": "gaussian", "width": 0.25},
+        "rates": {"inflow": 2.0, "dilution": 2.0,
+                  "uptake": {"family": "monod", "b": [1.6, 2.0, 2.4], "a": 1.0},
+                  "mortality": {"family": "constant", "d0": 0.6}},
+        "initial": {"S": S, "weights": [0.3, 0.3, 0.3]},
+        "control": {"method": "picard", "t_end": t_end},
+        "truncation": truncation,
+    }
+
+
 class TestPicard:
     def test_equilibrium_is_fixed_point_in_one_iteration(self):
         # constant trajectory: the operator reproduces it up to quadrature in
-        # one iteration, and a second iteration changes nothing
+        # one iteration, closer than PICARD_TOL, so the window stops there
         sp, rates, K, _ = washout_setup()
         state = SystemState(1.0, DiscreteMeasure(sp, np.zeros(1)))
         traj = picard_solve(state, 1.0, StepControl(), rates, K)
-        assert traj.metadata["iterations"] == [2]
-        # quadrature error of the trapezoid rule sets the scale here
-        assert np.abs(traj.S - 1.0).max() < 1e-6
+        assert traj.metadata["iterations"] == [1]
+        # the fourth-order rule's error on e^t at h = 1/512 sets the scale
+        assert np.abs(traj.S - 1.0).max() < 1e-12
 
     def test_washout_closed_form(self):
         _, rates, K, state0 = washout_setup()
         traj = picard_solve(state0, 1.0, StepControl(), rates, K)
         exact = 1.0 - np.exp(-traj.times)
-        assert np.abs(traj.S - exact).max() < 1e-6
+        assert np.abs(traj.S - exact).max() < 1e-12
 
     def test_contraction_ratio_below_one(self, rng):
         for _ in range(3):
@@ -345,6 +360,34 @@ class TestPicard:
                         rtol=1e-12, atol=1e-12).y[:, -1]
         end = np.concatenate([[traj.S[-1]], traj.weights[-1]])
         assert np.abs(end - ref).max() <= 1e-5
+
+    @staticmethod
+    def endpoint_error(monkeypatch, cfg, nodes):
+        """|dS| + l1 distance of Picard at `nodes` intervals per window from
+        the DOP853 endpoint, and the run's metadata."""
+        monkeypatch.setattr(crflow.dynamics, "PICARD_NODES", nodes)
+        traj, _ = run(build_scenario(cfg))
+        S, w = ode_endpoint(cfg)
+        end = traj.endpoint()
+        return abs(end.S - S) + float(np.abs(end.mu.weights - w).sum()), traj.metadata
+
+    def test_quadrature_is_fourth_order(self, monkeypatch):
+        # 5.9e-9, 3.9e-10, 2.5e-11, 1.6e-12: halving h divides the error by
+        # 15.1, 15.5 and 15.6 (the trapezoid rule's factor was 4.0)
+        errors = [self.endpoint_error(monkeypatch, picard_doc(), nodes)[0]
+                  for nodes in (64, 128, 256, 512)]
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((13.0 < ratios) & (ratios < 19.0)), (errors, ratios)
+
+    def test_substrate_crossing_the_truncation_level(self, monkeypatch):
+        # S rises from 0 through the level 0.5, where the rates have a kink
+        # and the rule loses its order locally: 8.8e-8 at 512 nodes (1.4e-6
+        # with the trapezoid rule), no weight clamped
+        cfg = picard_doc(S=0.0, truncation=0.5, t_end=3.0)
+        error, meta = self.endpoint_error(monkeypatch, cfg, 512)
+        assert error < 5e-7
+        assert meta["iterations"] == [13, 13, 13]
+        assert meta["clamped_weights"] == 0
 
     def test_rejects_bad_input(self):
         sp, rates, K, state0 = single_strain()
@@ -581,6 +624,17 @@ class TestStepControl:
     @pytest.mark.parametrize("lam", [None, 0.0, 7.5])
     def test_lam_takes_none_and_finite_numbers_of_at_least_zero(self, lam):
         assert StepControl(method="picard", lam=lam).lam == lam
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"dt": "x"}, "dt"),
+        ({"dt": True}, "dt"),
+        ({"tolerance": None}, "tolerance"),
+        ({"lam": "x"}, "lam"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, fields, name):
+        with pytest.raises(ConfigError) as info:
+            StepControl(method="picard", **fields)
+        assert str(info.value) == f"{name} must be a number, got {fields[name]!r}"
 
     def test_frozen(self):
         control = StepControl()

@@ -118,6 +118,14 @@ class TestVitalRates:
         with pytest.raises(TypeError, match="clamp"):
             VitalRates(r.inflow, r.dilution, r.uptake, r.mortality)
 
+    @pytest.mark.parametrize("key, value", [
+        ("inflow", "1"), ("dilution", None), ("clamp", None), ("clamp", "2"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            make_rates(**{key: value})
+        assert str(info.value) == f"{key} must be a number, got {value!r}"
+
     @pytest.mark.parametrize("clamp, message", [
         (0.0, "truncation level must be positive"),
         (-2.0, "truncation level must be positive"),
