@@ -317,6 +317,12 @@ def contraction_weight_default(rates: VitalRates, mass_bound: float, T: float) -
     return 2.0 * max(n_t, 1.0)
 
 
+def picard_windows(t_end: float) -> int:
+    """Windows of length at most PICARD_WINDOW that picard_solve chains to
+    reach t_end, each of PICARD_NODES intervals."""
+    return max(1, int(math.ceil(t_end / PICARD_WINDOW - 1e-12)))
+
+
 def picard_solve(
     state0: SystemState,
     t_end: float,
@@ -337,6 +343,9 @@ def picard_solve(
     for longer horizons.
     A window ends when the sup distance between successive iterates (|dS|
     plus a total-variation proxy for the flat norm) drops below PICARD_TOL.
+    A converged window whose substrate or weights fall to -WEIGHT_CLAMP_TOL
+    or below raises a PositivityError: the quadrature has not resolved the
+    solution. Weights in (-WEIGHT_CLAMP_TOL, 0) are clamped and counted.
 
     Of the control it reads lam and record_every: record_every k keeps nodes
     k, 2k, ... and the last, as integrate keeps steps. control.lam (None:
@@ -348,7 +357,7 @@ def picard_solve(
     _check_inputs(state0, t_end, rates, K)
     if not state0.in_cone():
         raise ConfigError("picard_solve needs cone initial data")
-    n_windows = max(1, int(math.ceil(t_end / PICARD_WINDOW - 1e-12)))
+    n_windows = picard_windows(t_end)
     if n_windows * PICARD_NODES > MAX_STEPS:
         raise ConfigError(f"horizon {t_end!r} needs more than MAX_STEPS Picard nodes")
     mass_bound = max(state0.total_mass(), dissipativity_bound(rates))
@@ -375,7 +384,8 @@ def picard_solve(
     S0 = float(state0.S)
     W0 = state0.mu.weights.copy()
     t_offset = 0.0
-    for _ in range(n_windows):
+    every = control.record_every
+    for window in range(n_windows):
         S_arr = np.full(PICARD_NODES + 1, S0)
         W_arr = np.tile(W0, (PICARD_NODES + 1, 1))
         prev_weighted = None
@@ -403,17 +413,27 @@ def picard_solve(
                 f"picard iteration did not converge in {PICARD_MAX_ITER} steps "
                 f"(last contraction ratio {ratio!r})"
             )
+        # The mild solution keeps S >= 0; a fixed point below that is the
+        # quadrature failing on uptake too stiff for the grid (h*b*w/a >> 1).
+        s_min = float(S_arr.min())
+        if s_min <= -WEIGHT_CLAMP_TOL:
+            raise PositivityError(
+                f"picard substrate {s_min!r} below -{WEIGHT_CLAMP_TOL} at "
+                f"t={t_offset + float(tau[int(S_arr.argmin())])!r}: uptake too "
+                f"stiff for {PICARD_NODES} nodes per window of length {Tw!r}"
+            )
         W_arr = _clamp_weights(W_arr, clamped)
-        all_times.append(t_offset + tau[1:])
-        all_S.append(S_arr[1:])
-        all_W.append(W_arr[1:])
+        # Only the recorded nodes outlive the window.
+        keep = (window * PICARD_NODES + np.arange(1, PICARD_NODES + 1)) % every == 0
+        keep[-1] |= window == n_windows - 1
+        all_times.append(t_offset + tau[1:][keep])
+        all_S.append(S_arr[1:][keep])
+        all_W.append(W_arr[1:][keep])
         S0 = float(S_arr[-1])
         W0 = W_arr[-1].copy()
         t_offset += Tw
 
     times, S, W = np.concatenate(all_times), np.concatenate(all_S), np.vstack(all_W)
-    keep = np.r_[0:len(times) - 1:control.record_every, len(times) - 1]
-    times, S, W = times[keep], S[keep], W[keep]
     return Trajectory(
         space=state0.space,
         times=times,

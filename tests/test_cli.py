@@ -656,6 +656,34 @@ class TestCheckRelayAndReference:
         else:
             assert f"{picard_row} scenario.json picard_vs_rk" in out
 
+    @pytest.mark.parametrize("t_end, solves", [
+        (8.0, [(1.0, 513), (8.0, 2)]),   # 8 windows of 512 nodes
+        (20.0, [(1.0, 513)]),            # 20 windows: over the node budget
+    ])
+    def test_long_horizon_reference_keeps_its_endpoint_only(
+            self, tmp_path, capsys, monkeypatch, t_end, solves):
+        # dt 1 under a node budget of 5000: the whole-horizon solve keeps two
+        # rows, and a horizon past the budget leaves step_accuracy out
+        monkeypatch.setattr(crflow.dynamics, "MAX_STEPS", 5000)
+        monkeypatch.setattr(crflow.cli, "MAX_STEPS", 5000)
+        cfg = washout_cfg()
+        cfg["control"].update(dt=1.0, t_end=t_end)
+        calls = []
+        solve = crflow.cli.picard_solve
+
+        def counted(*args):
+            traj = solve(*args)
+            calls.append((args[1], len(traj)))
+            return traj
+
+        monkeypatch.setattr(crflow.cli, "picard_solve", counted)
+        # picard_vs_rk fails: one RK4 step of 1 misses e^-1 by 7.1e-3
+        assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == 1
+        assert calls == solves
+        out = capsys.readouterr().out
+        assert ("step_accuracy" in out) == (len(solves) == 2)
+        assert "FAIL scenario.json picard_vs_rk" in out
+
 
 def seeded_rk4(k3_from_k1=False, drop_k4=False):
     """dynamics._rk4 with k3 evaluated along k1, or k4 replaced by k3."""
@@ -756,25 +784,30 @@ class TestSeededDefects:
         assert {name for name, (ok, _) in rows.items() if not ok} == failing
         assert (MB in rows) == (doc != "remainder")
 
-    def test_picard_leaving_the_cone_fails_rows(self, tmp_path, capsys):
-        # Stiff uptake: Picard's first window ends at S = -0.064. A restart
-        # from it would leave the cone, and from S = 0 Picard does not
-        # converge; the whole-horizon solve does, and the rows report the gap.
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_unresolved_picard_reference_is_a_numerical_error(
+            self, tmp_path, capsys, command):
+        # Stiff uptake (h*b*w/a about 2 on the Picard grid): the quadrature's
+        # fixed point takes S below zero, where the solution stays at S >= 0.
+        # check names the reference instead of failing the rows it feeds.
         cfg = {"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [1]}},
                "kernel": {"family": "pure_selection"},
                "rates": {"inflow": 0.001, "dilution": 1.0,
                          "uptake": {"family": "monod", "b": 200.0, "a": 0.1},
                          "mortality": {"family": "constant", "d0": 0.3}},
                "initial": {"S": 5.0, "weights": [0.5]},
-               "control": {"method": "rk4", "dt": 0.001, "t_end": 2.0},
+               "control": {"method": "rk4" if command == "check" else "picard",
+                           "dt": 0.001, "t_end": 2.0},
                "truncation": 10.0}
-        sc = build_scenario(json.loads(json.dumps(cfg)))
-        first = picard_solve(sc.state0, 1.0, sc.control, sc.rates, sc.kernel)
-        assert first.endpoint().S < -0.06
-        assert main(["check", "--scenario", str(write_cfg(tmp_path, cfg))]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL scenario.json step_accuracy" in out
-        assert "FAIL scenario.json picard_vs_rk" in out
+        args = [command, "--scenario", str(write_cfg(tmp_path, cfg))]
+        if command == "simulate":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "PositivityError"
+        assert error["message"].startswith("picard substrate -0.24")
+        assert error["message"].endswith(
+            "uptake too stiff for 512 nodes per window of length 1.0")
 
 
 class TestConfigErrors:

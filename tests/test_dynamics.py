@@ -389,6 +389,23 @@ class TestPicard:
         assert meta["iterations"] == [13, 13, 13]
         assert meta["clamped_weights"] == 0
 
+    def test_unresolved_stiff_uptake_is_a_positivity_error(self):
+        # h*b*w/a = 200 * 2 / 0.01 / 512, about 78: the quadrature's fixed
+        # point takes S to -0.89, where the solution stays at S >= 0 (RK4 at
+        # dt 1e-5 ends at S = 0, weight 5.18)
+        cfg = {"space": {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "counts": [1]}},
+               "kernel": {"family": "pure_selection"},
+               "rates": {"inflow": 0.0, "dilution": 1.0,
+                         "uptake": {"family": "monod", "b": 200.0, "a": 0.01},
+                         "mortality": {"family": "constant", "d0": 0.3}},
+               "initial": {"S": 5.0, "weights": [2.0]},
+               "control": {"method": "picard", "t_end": 1.0},
+               "truncation": 10.0}
+        with pytest.raises(PositivityError, match=(
+                r"^picard substrate -0\.8\d* below -1e-09 at t=0\.\d+: uptake "
+                r"too stiff for 512 nodes per window of length 1\.0$")):
+            run(build_scenario(cfg))
+
     def test_rejects_bad_input(self):
         sp, rates, K, state0 = single_strain()
         with pytest.raises(ConfigError) as info:
@@ -570,6 +587,19 @@ class TestRecordEvery:
         last = len(full) - 1
         keep = sorted(set(range(0, last + 1, k)) | {last})
         assert last % k != 0         # the final row is kept off the k grid
+        for name in ("times", "S", "weights"):
+            assert np.array_equal(getattr(thin, name).view(np.uint64),
+                                  getattr(full, name)[keep].view(np.uint64))
+
+    @pytest.mark.parametrize("k", [4, 1024, 5000])
+    def test_picard_keeps_the_last_node_once(self, k):
+        # 1024 nodes over two windows: k divides the last node, is the last
+        # node, or lies past it, which keeps only the ends
+        rates, K, state0 = mutation_setup()
+        control = StepControl(method="picard")
+        full = picard_solve(state0, 2.0, control, rates, K)
+        thin = picard_solve(state0, 2.0, replace(control, record_every=k), rates, K)
+        keep = sorted(set(range(0, 1025, k)) | {1024})
         for name in ("times", "S", "weights"):
             assert np.array_equal(getattr(thin, name).view(np.uint64),
                                   getattr(full, name)[keep].view(np.uint64))
